@@ -258,10 +258,11 @@ def im2_round(
         raise ValueError("interval edges must not be NaN")
 
     if valid is None:
-        valid = np.ones(shape, dtype=bool)
+        every_row_has_a_reply = shape[1] > 0 or n == 0
     else:
         valid = np.asarray(valid, dtype=bool)
-    if not include_self and not valid.any(axis=1).all():
+        every_row_has_a_reply = valid.any(axis=1).all()
+    if not include_self and not every_row_has_a_reply:
         raise ValueError("IM round with no replies and include_self=False")
 
     rtt_term = (1.0 + delta)[:, None] * rtts
@@ -272,8 +273,9 @@ def im2_round(
 
     # Masked slots must never define an edge; the self interval, when
     # included, is the last candidate (ties resolve to earlier arrivals).
-    trailing = np.where(valid, trailing, -np.inf)
-    leading = np.where(valid, leading, np.inf)
+    if valid is not None:
+        trailing = np.where(valid, trailing, -np.inf)
+        leading = np.where(valid, leading, np.inf)
     if include_self:
         trailing = np.concatenate([trailing, -state_errors[:, None]], axis=1)
         leading = np.concatenate([leading, state_errors[:, None]], axis=1)

@@ -40,6 +40,7 @@ asserts it.
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,134 +97,108 @@ def _shard_metadata(plan: KernelPlan, shards: int):
     return blocks, halos, borders
 
 
-class _BulkShard:
-    """One shard's state and per-cycle vectorized round processing."""
+@dataclass(frozen=True)
+class _Bucket:
+    """The local servers of one degree ``d``: a dense, mask-free sub-shard.
 
-    def __init__(self, plan: KernelPlan, shard_index: int, shards: int) -> None:
+    ``rows`` is the bucket's slice of the shard's bucket-major state arrays;
+    the ``(m_d, d)`` arrays hold, per server and sorted-neighbour slot, the
+    neighbour's answer-table position and static rates.
+    """
+
+    degree: int
+    rows: slice
+    nbr_idx: np.ndarray
+    nbr_one_skew: np.ndarray
+    nbr_delta: np.ndarray
+    draws: np.ndarray  # (prefetch_cycles, m_d, 2d): request legs, then reply legs
+
+
+class _BulkShard:
+    """One shard's state and per-cycle vectorized round processing.
+
+    Local servers are held *bucket-major* — ordered by degree, then name —
+    so each degree's servers are one contiguous slice of every state array
+    and a cycle is a short loop over the distinct degrees, each step dense
+    ``(m_d, d)`` array arithmetic.  The order is private: results leave the
+    shard keyed by global rank (:meth:`collect`, trace tags) or by sorted
+    border name (:meth:`border_state`).
+    """
+
+    def __init__(
+        self, plan: KernelPlan, block: List[str], halo: List[str], border: List[str]
+    ) -> None:
         self.plan = plan
-        blocks, halos, borders = _shard_metadata(plan, shards)
-        self.local_names = blocks[shard_index]
-        self.halo_names = halos[shard_index]
-        local_pos = {name: i for i, name in enumerate(self.local_names)}
+        m = len(block)
+        first = plan.index[block[0]]  # a block is a contiguous run of plan.names
+        nbr_names = plan.neighbours[first : first + m]
+        deg = np.array([len(nbrs) for nbrs in nbr_names], dtype=np.int64)
+        order = np.argsort(deg, kind="stable")
+        self.deg = deg[order]
+        self._ranks = first + order
+        self.local_names = [block[i] for i in order]
+        self._nbr_names = [nbr_names[i] for i in order]
+        comb_pos = {name: i for i, name in enumerate(self.local_names + halo)}
         self._border_local_idx = np.array(
-            [local_pos[name] for name in borders[shard_index]], dtype=np.int64
+            [comb_pos[name] for name in border], dtype=np.int64
         )
-        m = len(self.local_names)
-        self._m = m
-        rank = plan.index
-        self._ranks = np.array([rank[name] for name in self.local_names], dtype=np.int64)
-        comb_names = self.local_names + self.halo_names
-        comb_pos = {name: i for i, name in enumerate(comb_names)}
-        self._nbr_names: List[List[str]] = [
-            plan.neighbours[rank[name]] for name in self.local_names
-        ]
-        self.deg = np.array([len(nbrs) for nbrs in self._nbr_names], dtype=np.int64)
-        self._max_deg = int(self.deg.max()) if m else 0
-        D = self._max_deg
-        self._nbr_idx = np.zeros((m, D), dtype=np.int64)
-        self._valid = np.zeros((m, D), dtype=bool)
-        for i, nbrs in enumerate(self._nbr_names):
-            for q, nbr in enumerate(nbrs):
-                self._nbr_idx[i, q] = comb_pos[nbr]
-                self._valid[i, q] = True
-        # Per-cycle invariants, hoisted: row indices for gather-by-arrival
-        # (``arr[rows, order]``), slot validity in arrival-rank order (the
-        # first deg[i] ranks of a row are real replies), and drift factors.
-        self._row_idx = np.arange(m)[:, None]
-        self._valid_rank = np.arange(D)[None, :] < self.deg[:, None]
-        self._invalid_rank = ~self._valid_rank
-        # Per-slot outcome buffers: stats arithmetic runs once per cycle
-        # over (D, m) instead of five int ops per slot.
-        self._cons_buf = np.zeros((D, m), dtype=bool)
-        self._acc_buf = np.zeros((D, m), dtype=bool)
-        self._empty_border = np.zeros((4, 0))
-        # Static per-server rates (local view and combined answer-table view).
-        self.skew = np.array([plan.skews[rank[n]] for n in self.local_names])
-        self.delta = np.array([plan.deltas[rank[n]] for n in self.local_names])
-        self._one_skew = 1.0 + self.skew
+        comb_ranks = np.concatenate(
+            [self._ranks, np.array([plan.index[name] for name in halo], dtype=np.int64)]
+        )
+        # Static per-server rates: the combined answer-table view (local
+        # servers first, then the halo) and its local prefix.
+        comb_one_skew = 1.0 + np.asarray(plan.skews)[comb_ranks]
+        comb_delta = np.asarray(plan.deltas)[comb_ranks]
+        self._one_skew = comb_one_skew[:m]
+        self.delta = comb_delta[:m]
         self._one_delta = 1.0 + self.delta
-        self._comb_skew = np.array([plan.skews[rank[n]] for n in comb_names])
-        self._comb_delta = np.array([plan.deltas[rank[n]] for n in comb_names])
-        # Mutable clock/error state (DriftingClock segments + MM-1 terms).
-        self.seg_start = np.zeros(m)
-        self.seg_value = np.zeros(m)
-        self.eps = np.array([plan.initial_errors[rank[n]] for n in self.local_names])
-        self.r = np.zeros(m)
-        self.poll_t = np.array([plan.phases[rank[n]] for n in self.local_names])
+        # Mutable clock/error state, rows seg_start, seg_value (DriftingClock
+        # segment), eps, r (MM-1 terms): one table, so snapshots and border
+        # reads are single copies.
+        self.state = np.zeros((4, m))
+        self.state[2] = np.asarray(plan.initial_errors)[self._ranks]
+        self.poll_t = np.asarray(plan.phases)[self._ranks]
         self.stats = np.zeros((len(_STAT_FIELDS), m), dtype=np.int64)
         self.cycle = 0
-        # Per-server delay streams, block-prefetched: row c of a block is
-        # cycle c's 2·deg draws (request legs to sorted neighbours first,
-        # then reply legs) — shard-count-invariant by construction.
+        self._events_per_cycle = int(m + 2 * self.deg.sum())
+        # Per-server delay streams — shard-count-invariant by construction —
+        # prefetched into one block per bucket: server i fills column i with
+        # prefetch_cycles × 2d consecutive draws, so row c of the block is
+        # every server's cycle-c draws, each in its own stream order.
         registry = RngRegistry(seed=plan.seed)
-        self._gens = [
-            registry.stream(f"kernel/{name}") for name in self.local_names
-        ]
-        self._block_len = plan.prefetch_cycles
-        self._blocks: List[Optional[np.ndarray]] = [None] * m
-        # Uniform-degree fast path: stack the per-server blocks into one
-        # (block_len, m, 2D) array at refill so the per-cycle draw is two
-        # slices instead of an m-iteration Python loop.  The draws (and
-        # their per-server stream order) are identical either way.
-        self._uniform_deg = bool(m) and D > 0 and bool((self.deg == D).all())
-        self._stacked_block: Optional[np.ndarray] = None
-        self._cursor = self._block_len  # force refill on first cycle
-        lo, hi = plan.delay_min, plan.delay_bound
-        self._delay_args = (lo, hi)
-
-    # ---------------------------------------------------------------- drawing
-
-    def _draw_cycle(self) -> Tuple[np.ndarray, np.ndarray]:
-        m, D = self._m, self._max_deg
-        if self._cursor >= self._block_len:
-            lo, hi = self._delay_args
-            if self._uniform_deg:
-                block = np.empty((self._block_len, m, 2 * D))
-                for i in range(m):
-                    block[:, i, :] = self._gens[i].uniform(
-                        lo, hi, size=(self._block_len, 2 * D)
-                    )
-                self._stacked_block = block
-            else:
-                for i in range(m):
-                    d = int(self.deg[i])
-                    if d:
-                        self._blocks[i] = self._gens[i].uniform(
-                            lo, hi, size=(self._block_len, 2 * d)
-                        )
-            self._cursor = 0
-        if self._uniform_deg:
-            row = self._stacked_block[self._cursor]
-            self._cursor += 1
-            return row[:, :D], row[:, D:]
-        d1 = np.zeros((m, D))
-        d2 = np.zeros((m, D))
-        for i in range(m):
-            d = int(self.deg[i])
-            if d:
-                row = self._blocks[i][self._cursor]
-                d1[i, :d] = row[:d]
-                d2[i, :d] = row[d:]
-        self._cursor += 1
-        return d1, d2
-
-    # -------------------------------------------------------------- answering
-
-    def _answers(
-        self, snap: Tuple[np.ndarray, ...], idx: np.ndarray, at: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rule MM-1 ``<C_j, E_j>`` from the cycle-start snapshot table."""
-        seg_start, seg_value, eps, r = snap
-        value = seg_value[idx] + (at - seg_start[idx]) * (1.0 + self._comb_skew[idx])
-        error = eps[idx] + np.maximum(0.0, value - r[idx]) * self._comb_delta[idx]
-        return value, error
-
-    def _read_local(self, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
-        return self.seg_value[rows] + (at - self.seg_start[rows]) * (
-            1.0 + self.skew[rows]
+        self._gens = [registry.stream(f"kernel/{name}") for name in self.local_names]
+        flat_idx = np.array(
+            [comb_pos[nbr] for nbrs in self._nbr_names for nbr in nbrs], dtype=np.int64
         )
+        degrees, starts = np.unique(self.deg, return_index=True)
+        bounds = np.append(starts, m).tolist()
+        self._buckets: List[_Bucket] = []
+        taken = 0
+        for d, lo, hi in zip(degrees.tolist(), bounds, bounds[1:]):
+            idx = flat_idx[taken : taken + (hi - lo) * d].reshape(hi - lo, d)
+            taken += idx.size
+            self._buckets.append(
+                _Bucket(
+                    degree=d,
+                    rows=slice(lo, hi),
+                    nbr_idx=idx,
+                    nbr_one_skew=comb_one_skew[idx],
+                    nbr_delta=comb_delta[idx],
+                    draws=np.empty((plan.prefetch_cycles, hi - lo, 2 * d)),
+                )
+            )
 
     # ------------------------------------------------------------- round math
+
+    def _refill(self) -> None:
+        """Draw the next ``prefetch_cycles`` cycles of every local stream —
+        the one O(m) Python loop left, because each server owns its stream."""
+        lo, hi = self.plan.delay_min, self.plan.delay_bound
+        for bucket in self._buckets:
+            draws = bucket.draws
+            size = (draws.shape[0], draws.shape[2])
+            for i, gen in enumerate(self._gens[bucket.rows]):
+                draws[:, i, :] = gen.uniform(lo, hi, size=size)
 
     def step_cycle(
         self, halo_state: np.ndarray
@@ -235,58 +210,67 @@ class _BulkShard:
                 (seg_start, seg_value, eps, r rows).
 
         Returns:
-            ``(border_state, tagged_rows, events)`` where ``border_state``
-            holds the *whole local block*'s post-cycle state ``(4, m)`` —
-            the parent selects border columns — actually only border
-            columns, see :meth:`border_state`; events counts one poll plus
-            two deliveries per reply, matching the heap engine's ledger.
+            ``(border_state, tagged_rows, events)``: the post-cycle
+            ``(4, n_border)`` state of this shard's border servers (see
+            :meth:`border_state`), the cycle's tagged trace rows, and its
+            event count — one poll plus two deliveries per reply, matching
+            the heap engine's ledger.
         """
         plan = self.plan
-        m, D = self._m, self._max_deg
-        if halo_state.shape[1]:
-            snap = (
-                np.concatenate([self.seg_start, halo_state[0]]),
-                np.concatenate([self.seg_value, halo_state[1]]),
-                np.concatenate([self.eps, halo_state[2]]),
-                np.concatenate([self.r, halo_state[3]]),
-            )
-        else:
-            # Copies, not views: rounds mutate the live arrays in place and
-            # answers must come from the cycle-start snapshot.
-            snap = (
-                self.seg_start.copy(),
-                self.seg_value.copy(),
-                self.eps.copy(),
-                self.r.copy(),
-            )
-        d1, d2 = self._draw_cycle()
-        ta = self.poll_t[:, None] + d1
-        tb = ta + d2
-        tb_key = np.where(self._valid, tb, np.inf)
-        sent_local = self.seg_value + (self.poll_t - self.seg_start) * (1.0 + self.skew)
+        if self.cycle % plan.prefetch_cycles == 0:
+            self._refill()
+        # A copy even with no halo: rounds mutate the live state in place
+        # and answers must come from the cycle-start snapshot.
+        snap = np.concatenate([self.state, halo_state], axis=1)
+        seg_start, seg_value = self.state[:2]
+        sent_local = seg_value + (self.poll_t - seg_start) * self._one_skew
         rows_out: List[TaggedRow] = []
         self.stats[0] += 1  # rounds
         self.stats[1] += self.deg  # replies_handled
         self.stats[5] += self.deg  # requests_answered (each neighbour polls once)
-        events = int(m + 2 * self.deg.sum())
-        if D:
-            order = np.argsort(tb_key, axis=1, kind="stable")
-            if plan.flags.kind == "mm":
-                self._step_mm(snap, ta, tb_key, order, sent_local, rows_out)
-            else:
-                self._step_im(snap, ta, tb_key, order, sent_local, rows_out)
-        if plan.flags.kind == "im":
-            self._step_im_isolated(sent_local, rows_out)
+        step = self._step_mm if plan.flags.kind == "mm" else self._step_im
+        for bucket in self._buckets:
+            step(bucket, snap, sent_local, rows_out)
         self.poll_t = self.poll_t + plan.tau  # repeated addition, like PeriodicTask
         self.cycle += 1
-        return self.border_state(), rows_out, events
+        return self.border_state(), rows_out, self._events_per_cycle
+
+    def _replies(
+        self, bucket: _Bucket, snap: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A bucket's round in arrival order.
+
+        Returns ``(receipt, value, error, order)``, all ``(m_d, d)``:
+        receipt instants, the neighbours' rule MM-1 answers ``<C_j, E_j>``
+        from the cycle-start snapshot, and the sorted-neighbour slot of each
+        arrival (ties keep slot order).
+        """
+        d = bucket.degree
+        draws = bucket.draws[self.cycle % self.plan.prefetch_cycles]
+        answered = self.poll_t[bucket.rows, None] + draws[:, :d]
+        receipt = answered + draws[:, d:]
+        seg_start, seg_value, eps, r = snap[:, bucket.nbr_idx]
+        value = seg_value + (answered - seg_start) * bucket.nbr_one_skew
+        error = eps + np.maximum(0.0, value - r) * bucket.nbr_delta
+        order = np.argsort(receipt, axis=1, kind="stable")
+        return (
+            np.take_along_axis(receipt, order, axis=1),
+            np.take_along_axis(value, order, axis=1),
+            np.take_along_axis(error, order, axis=1),
+            order,
+        )
+
+    def _arrival_names(self, bucket: _Bucket, order: np.ndarray) -> List[List[str]]:
+        """Neighbour names per local server, in arrival order (trace only)."""
+        return [
+            [nbrs[slot] for slot in slots]
+            for nbrs, slots in zip(self._nbr_names[bucket.rows], order.tolist())
+        ]
 
     def _step_mm(
         self,
-        snap: Tuple[np.ndarray, ...],
-        ta: np.ndarray,
-        tb_key: np.ndarray,
-        order: np.ndarray,
+        bucket: _Bucket,
+        snap: np.ndarray,
         sent_local: np.ndarray,
         rows_out: List[TaggedRow],
     ) -> None:
@@ -296,65 +280,57 @@ class _BulkShard:
         the only intra-round sequencing MM needs.  Everything that does not
         depend on mid-round resets (the answers, the arrival ordering) is
         computed for all slots up front; the per-slot pass touches whole
-        ``(m,)`` columns with no fancy indexing, which is what keeps the
+        ``(m_d,)`` columns with no fancy indexing, which is what keeps the
         per-cycle Python overhead flat in the server count.
         """
+        d, rows = bucket.degree, bucket.rows
+        if not d:
+            return
         flags = self.plan.flags
-        trace = self.plan.trace_enabled
-        cycle = self.cycle
-        m, D = self._m, self._max_deg
-        rows2 = self._row_idx
-        ta_o = ta[rows2, order]
-        tb_o = tb_key[rows2, order]
-        np.copyto(tb_o, self.poll_t[:, None], where=self._invalid_rank)
-        idx_o = self._nbr_idx[rows2, order]
-        flat_v, flat_e = self._answers(snap, idx_o.reshape(-1), ta_o.reshape(-1))
-        vj_o = flat_v.reshape(m, D)
-        ej_o = flat_e.reshape(m, D)
+        tb_o, vj_o, ej_o, order = self._replies(bucket, snap)
         # Snapshot-only quantities are slot-independent; hoist them.  The
         # transit leading edge stays ``(C_j + E_j) + (1+δ)·ξ`` left-assoc.
         vj_hi_o = vj_o + ej_o
         vj_lo_o = vj_o - ej_o
-        valid_o = self._valid_rank
-        one_skew = self._one_skew
-        one_delta = self._one_delta
-        inflate = flags.inflate_rtt
-        strict = flags.strict_improvement
-        names_o = None
-        if trace:
-            names_o = [
-                [self._nbr_names[i][order[i, s]] for s in range(int(self.deg[i]))]
-                for i in range(m)
-            ]
-        for s in range(D):
-            active = valid_o[:, s]
+        seg_start, seg_value, eps, r = self.state[:, rows]
+        one_skew = self._one_skew[rows]
+        one_delta = self._one_delta[rows]
+        delta = self.delta[rows]
+        sent = sent_local[rows]
+        # Per-slot outcomes: stats arithmetic runs once per cycle over
+        # (d, m_d) instead of five int ops per slot.
+        cons = np.empty((d, len(sent)), dtype=bool)
+        acc = np.empty_like(cons)
+        if self.plan.trace_enabled:
+            names = self.local_names[rows]
+            ranks = self._ranks[rows].tolist()
+            names_o = self._arrival_names(bucket, order)
+        for s in range(d):
             tb_s = tb_o[:, s]
             vj = vj_o[:, s]
-            ej = ej_o[:, s]
-            local_now = self.seg_value + (tb_s - self.seg_start) * one_skew
-            rtt = np.maximum(0.0, local_now - sent_local)
-            state_err = self.eps + np.maximum(0.0, local_now - self.r) * self.delta
+            local_now = seg_value + (tb_s - seg_start) * one_skew
+            rtt = np.maximum(0.0, local_now - sent)
+            state_err = eps + np.maximum(0.0, local_now - r) * delta
             infl = one_delta * rtt
             transit_hi = vj_hi_o[:, s] + infl
-            consistent = ((local_now - state_err) <= transit_hi) & (
-                vj_lo_o[:, s] <= (local_now + state_err)
+            consistent = np.logical_and(
+                (local_now - state_err) <= transit_hi,
+                vj_lo_o[:, s] <= (local_now + state_err),
+                out=cons[s],
             )
-            candidate = ej + (infl if inflate else rtt)
-            if strict:
+            candidate = ej_o[:, s] + (infl if flags.inflate_rtt else rtt)
+            if flags.strict_improvement:
                 improves = candidate < state_err
             else:
                 improves = candidate <= state_err
-            cons_active = np.logical_and(active, consistent, out=self._cons_buf[s])
-            accepted = np.logical_and(cons_active, improves, out=self._acc_buf[s])
-            np.copyto(self.seg_start, tb_s, where=accepted)
-            np.copyto(self.seg_value, vj, where=accepted)
-            np.copyto(self.r, vj, where=accepted)
-            np.copyto(self.eps, candidate, where=accepted)
-            if trace:
-                for i in np.flatnonzero(active):
-                    name = self.local_names[i]
+            accepted = np.logical_and(consistent, improves, out=acc[s])
+            np.copyto(seg_start, tb_s, where=accepted)
+            np.copyto(seg_value, vj, where=accepted)
+            np.copyto(r, vj, where=accepted)
+            np.copyto(eps, candidate, where=accepted)
+            if self.plan.trace_enabled:
+                for i, name in enumerate(names):
                     dest = names_o[i][s]
-                    rank = int(self._ranks[i])
                     t = float(tb_s[i])
                     if not consistent[i]:
                         record = TraceRecord(t, "inconsistent", name, {"conflicting": dest})
@@ -372,92 +348,75 @@ class _BulkShard:
                         )
                     else:
                         record = TraceRecord(t, "reject", name, {"server": dest})
-                    rows_out.append((cycle, rank, s, record))
-        acc_sum = self._acc_buf.sum(axis=0)
-        cons_sum = self._cons_buf.sum(axis=0)
-        self.stats[2] += acc_sum  # resets
-        self.stats[3] += cons_sum - acc_sum  # rejects (consistent, no gain)
-        self.stats[4] += self.deg - cons_sum  # inconsistencies
+                    rows_out.append((self.cycle, ranks[i], s, record))
+        acc_sum = acc.sum(axis=0)
+        cons_sum = cons.sum(axis=0)
+        self.stats[2, rows] += acc_sum  # resets
+        self.stats[3, rows] += cons_sum - acc_sum  # rejects (consistent, no gain)
+        self.stats[4, rows] += d - cons_sum  # inconsistencies
 
     def _step_im(
         self,
-        snap: Tuple[np.ndarray, ...],
-        ta: np.ndarray,
-        tb_key: np.ndarray,
-        order: np.ndarray,
+        bucket: _Bucket,
+        snap: np.ndarray,
         sent_local: np.ndarray,
         rows_out: List[TaggedRow],
     ) -> None:
-        """Rule IM-2: collect the round, age to its close, intersect."""
+        """Rule IM-2: collect the round, age to its close, intersect.
+
+        The ``d = 0`` bucket is the same code on ``(m_0, 0)`` arrays: the
+        round closes at the poll instant and the self interval is the whole
+        intersection.
+        """
         flags = self.plan.flags
-        rp = np.flatnonzero(self.deg > 0)
-        if not rp.size:
-            return
-        deg_rp = self.deg[rp]
-        rp_col = rp[:, None]
-        order_rp = order[rp]
-        ta_o = ta[rp_col, order_rp]
-        tb_o = tb_key[rp_col, order_rp]
-        idx_o = self._nbr_idx[rp_col, order_rp]
-        D = self._max_deg
-        valid_o = self._valid_rank[rp]
-        tb_o = np.where(valid_o, tb_o, self.poll_t[rp][:, None])  # keep finite
-        k_rows = np.arange(rp.size)
-        value_j, error_j = self._answers(
-            snap, idx_o.reshape(-1), ta_o.reshape(-1)
-        )
-        value_j = value_j.reshape(rp.size, D)
-        error_j = error_j.reshape(rp.size, D)
-        local_at = self.seg_value[rp][:, None] + (
-            tb_o - self.seg_start[rp][:, None]
-        ) * (1.0 + self.skew[rp][:, None])
-        rtt = np.maximum(0.0, local_at - sent_local[rp][:, None])
-        t_close = tb_o[k_rows, deg_rp - 1]
-        local_close = self._read_local(rp, t_close)
+        d, rows = bucket.degree, bucket.rows
+        if not d and not flags.include_self:
+            return  # scalar: empty round, no self -> consistent no-op
+        tb_o, value_j, error_j, order = self._replies(bucket, snap)
+        seg_start, seg_value, eps, r = self.state[:, rows]
+        one_skew = self._one_skew[rows]
+        delta = self.delta[rows]
+        local_at = seg_value[:, None] + (tb_o - seg_start[:, None]) * one_skew[:, None]
+        rtt = np.maximum(0.0, local_at - sent_local[rows, None])
+        t_close = tb_o[:, -1] if d else self.poll_t[rows]
+        local_close = seg_value + (t_close - seg_start) * one_skew
         elapsed = np.maximum(0.0, local_close[:, None] - local_at)
         aged_value = value_j + elapsed
-        aged_error = error_j + self.delta[rp][:, None] * elapsed
-        state_err = self.eps[rp] + np.maximum(
-            0.0, local_close - self.r[rp]
-        ) * self.delta[rp]
+        aged_error = error_j + delta[:, None] * elapsed
+        state_err = eps + np.maximum(0.0, local_close - r) * delta
         outcome = im2_round(
             local_close,
             state_err,
-            self.delta[rp],
+            delta,
             aged_value,
             aged_error,
             rtt,
-            valid_o,
             include_self=flags.include_self,
             widen_both_edges=flags.widen_both_edges,
             reset_to=flags.reset_to,
             allow_point_intersection=flags.allow_point_intersection,
         )
         good = outcome.consistent
-        hit = rp[good]
-        self.seg_start[hit] = t_close[good]
-        self.seg_value[hit] = outcome.new_value[good]
-        self.r[hit] = outcome.new_value[good]
-        self.eps[hit] = outcome.new_error[good]
-        self.stats[2, hit] += 1
-        self.stats[4, rp[~good]] += 1
+        np.copyto(seg_start, t_close, where=good)
+        np.copyto(seg_value, outcome.new_value, where=good)
+        np.copyto(r, outcome.new_value, where=good)
+        np.copyto(eps, outcome.new_error, where=good)
+        self.stats[2, rows] += good  # resets
+        self.stats[4, rows] += ~good  # inconsistencies
         if self.plan.trace_enabled:
-            cycle = self.cycle
-            arrival_names = [
-                [self._nbr_names[i][order[i, s]] for s in range(int(self.deg[i]))]
-                for i in rp
-            ]
-
-            def slot_name(k: int, slot: int) -> str:
-                return "self" if slot == SELF_SLOT else arrival_names[k][slot]
-
-            for k, i in enumerate(rp):
-                name = self.local_names[i]
-                rank = int(self._ranks[i])
-                a_name = slot_name(k, int(outcome.a_slot[k]))
-                b_name = slot_name(k, int(outcome.b_slot[k]))
+            names_o = self._arrival_names(bucket, order)
+            for k, (name, rank, t, a_slot, b_slot) in enumerate(
+                zip(
+                    self.local_names[rows],
+                    self._ranks[rows].tolist(),
+                    t_close.tolist(),
+                    outcome.a_slot.tolist(),
+                    outcome.b_slot.tolist(),
+                )
+            ):
+                a_name = "self" if a_slot == SELF_SLOT else names_o[k][a_slot]
+                b_name = "self" if b_slot == SELF_SLOT else names_o[k][b_slot]
                 source = a_name if a_name == b_name else f"{a_name}∩{b_name}"
-                t = float(t_close[k])
                 if good[k]:
                     record = TraceRecord(
                         t,
@@ -477,93 +436,25 @@ class _BulkShard:
                     record = TraceRecord(
                         t, "inconsistent", name, {"conflicting": conflicting}
                     )
-                rows_out.append((cycle, rank, 0, record))
-
-    def _step_im_isolated(
-        self, sent_local: np.ndarray, rows_out: List[TaggedRow]
-    ) -> None:
-        """Degree-0 IM rounds: the self interval is the whole intersection."""
-        flags = self.plan.flags
-        if not flags.include_self:
-            return  # scalar: empty round, no self -> consistent no-op
-        iso = np.flatnonzero(self.deg == 0)
-        for i in iso:
-            t = float(self.poll_t[i])
-            local_now = float(sent_local[i])
-            state_err = float(
-                self.eps[i] + max(0.0, local_now - self.r[i]) * self.delta[i]
-            )
-            a, b = -state_err, state_err
-            consistent = (b >= a) if flags.allow_point_intersection else (b > a)
-            name = self.local_names[i]
-            rank = int(self._ranks[i])
-            if not consistent:
-                self.stats[4, i] += 1
-                if self.plan.trace_enabled:
-                    rows_out.append(
-                        (
-                            self.cycle,
-                            rank,
-                            0,
-                            TraceRecord(t, "inconsistent", name, {"conflicting": ""}),
-                        )
-                    )
-                continue
-            if flags.reset_to == "midpoint":
-                offset, new_error = (a + b) / 2.0, (b - a) / 2.0
-            else:
-                offset, new_error = a, b - a
-            new_value = local_now + offset
-            self.seg_start[i] = t
-            self.seg_value[i] = new_value
-            self.r[i] = new_value
-            self.eps[i] = new_error
-            self.stats[2, i] += 1
-            if self.plan.trace_enabled:
-                rows_out.append(
-                    (
-                        self.cycle,
-                        rank,
-                        0,
-                        TraceRecord(
-                            t,
-                            "reset",
-                            name,
-                            {
-                                "from_server": "self",
-                                "new_value": float(new_value),
-                                "new_error": float(new_error),
-                                "reset_kind": "sync",
-                            },
-                        ),
-                    )
-                )
+                rows_out.append((self.cycle, rank, 0, record))
 
     # ------------------------------------------------------------- reporting
 
     def border_state(self) -> np.ndarray:
         """Post-cycle ``(4, n_border)`` state of this shard's border servers."""
-        idx = self._border_local_idx
-        if not idx.size:
-            return self._empty_border
-        return np.stack(
-            [self.seg_start[idx], self.seg_value[idx], self.eps[idx], self.r[idx]]
-        )
+        return self.state[:, self._border_local_idx]
 
     def collect(self) -> Dict[str, np.ndarray]:
         return {
             "ranks": self._ranks,
-            "seg_start": self.seg_start.copy(),
-            "seg_value": self.seg_value.copy(),
-            "eps": self.eps.copy(),
-            "r": self.r.copy(),
+            "state": self.state.copy(),
             "stats": self.stats.copy(),
         }
 
 
-def _shard_worker(conn, plan: KernelPlan, shard_index: int, shards: int) -> None:
+def _shard_worker(conn, plan: KernelPlan, *metadata: List[str]) -> None:
     """Child-process loop: build the shard, serve step/collect commands."""
-    shard = _BulkShard(plan, shard_index, shards)
+    shard = _BulkShard(plan, *metadata)
     while True:
         msg = conn.recv()
         if msg[0] == "step":
@@ -593,7 +484,6 @@ class ShardedKernelService:
         shards = min(shards, n)
         self._shards_n = shards
         blocks, halos, borders = _shard_metadata(self.plan, shards)
-        self._halo_names = halos
         # Concatenated border table: shard s's border names occupy a
         # contiguous slice; halo gathers index into the concatenation.
         concat: List[str] = []
@@ -606,8 +496,9 @@ class ShardedKernelService:
             np.array([pos[name] for name in halo], dtype=np.int64) for halo in halos
         ]
         self._border_table = np.zeros((4, len(concat)))
-        for i, name in enumerate(concat):
-            self._border_table[2, i] = self.plan.initial_errors[self.plan.index[name]]
+        self._border_table[2] = [
+            self.plan.initial_errors[self.plan.index[name]] for name in concat
+        ]
         self._phase_max = max(self.plan.phases) if self.plan.phases else 0.0
         self._now = 0.0
         self._cycles_done = 0
@@ -615,16 +506,17 @@ class ShardedKernelService:
         self._rows: List[TaggedRow] = []
         self._trace_cache: Optional[List[TraceRecord]] = None
         self._collected: Optional[Dict[str, np.ndarray]] = None
+        self._closed = False
         self._procs: List = []
         self._conns: List = []
         self._local: List[_BulkShard] = []
         if processes:
             ctx = multiprocessing.get_context("fork")
-            for s in range(shards):
+            for metadata in zip(blocks, halos, borders):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child_conn, self.plan, s, shards),
+                    args=(child_conn, self.plan, *metadata),
                     daemon=True,
                 )
                 proc.start()
@@ -632,8 +524,8 @@ class ShardedKernelService:
                 self._procs.append(proc)
                 self._conns.append(parent_conn)
         else:
-            for s in range(shards):
-                self._local.append(_BulkShard(self.plan, s, shards))
+            for metadata in zip(blocks, halos, borders):
+                self._local.append(_BulkShard(self.plan, *metadata))
 
     # ---------------------------------------------------------------- control
 
@@ -644,10 +536,7 @@ class ShardedKernelService:
         )
 
     def _step_cycle(self) -> None:
-        halos = [
-            self._border_table[:, src] if src.size else np.zeros((4, 0))
-            for src in self._halo_src
-        ]
+        halos = [self._border_table[:, src] for src in self._halo_src]
         if self._conns:
             for conn, halo in zip(self._conns, halos):
                 conn.send(("step", halo))
@@ -672,14 +561,20 @@ class ShardedKernelService:
         shard-independent criterion, so every execution shape processes the
         same cycle set for a given ``time``.
         """
+        self._check_open()
         if time < self._now:
             raise ValueError(f"cannot run backwards to {time} from {self._now}")
         while self._cycle_close_bound(self._cycles_done) <= time:
             self._step_cycle()
         self._now = time
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("kernel service is closed")
+
     def close(self) -> None:
-        """Shut down worker processes (no-op in-process)."""
+        """Shut down worker processes; the service cannot run or report after."""
+        self._closed = True
         for conn in self._conns:
             try:
                 conn.send(("close",))
@@ -714,6 +609,7 @@ class ShardedKernelService:
         return self._cycles_done
 
     def _collect(self) -> Dict[str, np.ndarray]:
+        self._check_open()
         if self._collected is None:
             if self._conns:
                 for conn in self._conns:
@@ -723,15 +619,12 @@ class ShardedKernelService:
                 parts = [shard.collect() for shard in self._local]
             n = len(self.plan.names)
             merged = {
-                key: np.zeros(n) for key in ("seg_start", "seg_value", "eps", "r")
+                "state": np.zeros((4, n)),  # seg_start, seg_value, eps, r rows
+                "stats": np.zeros((len(_STAT_FIELDS), n), dtype=np.int64),
             }
-            stats = np.zeros((len(_STAT_FIELDS), n), dtype=np.int64)
             for part in parts:
-                ranks = part["ranks"]
-                for key in ("seg_start", "seg_value", "eps", "r"):
-                    merged[key][ranks] = part[key]
-                stats[:, ranks] = part["stats"]
-            merged["stats"] = stats
+                for key, table in merged.items():
+                    table[:, part["ranks"]] = part[key]
             self._collected = merged
         return self._collected
 
@@ -744,45 +637,32 @@ class ShardedKernelService:
 
     @property
     def stats(self) -> Dict[str, ServerStats]:
-        table = self._collect()["stats"]
-        out: Dict[str, ServerStats] = {}
-        for i, name in enumerate(self.plan.names):
-            out[name] = ServerStats(
-                **{field: int(table[f, i]) for f, field in enumerate(_STAT_FIELDS)}
-            )
-        return out
+        columns = self._collect()["stats"].T.tolist()
+        return {
+            name: ServerStats(**dict(zip(_STAT_FIELDS, column)))
+            for name, column in zip(self.plan.names, columns)
+        }
 
     def state_digest(self) -> int:
         """CRC32 over the merged post-run state arrays (shard-invariant)."""
-        state = self._collect()
-        return state_digest(
-            self.plan.names,
-            state["seg_start"],
-            state["seg_value"],
-            state["eps"],
-            state["r"],
-        )
+        return state_digest(self.plan.names, *self._collect()["state"])
 
     def snapshot(self) -> ServiceSnapshot:
-        state = self._collect()
+        seg_start, seg_value, eps, r = self._collect()["state"]
         t = self._now
-        skews = np.array(self.plan.skews)
-        deltas = np.array(self.plan.deltas)
-        value = state["seg_value"] + (t - state["seg_start"]) * (1.0 + skews)
-        error = state["eps"] + np.maximum(0.0, value - state["r"]) * deltas
-        values: Dict[str, float] = {}
-        errors: Dict[str, float] = {}
-        offsets: Dict[str, float] = {}
-        correct: Dict[str, bool] = {}
-        for i, name in enumerate(self.plan.names):
-            v = float(value[i])
-            e = float(error[i])
-            values[name] = v
-            errors[name] = e
-            offsets[name] = v - t
-            correct[name] = (v - e) <= t <= (v + e)
+        value = seg_value + (t - seg_start) * (1.0 + np.array(self.plan.skews))
+        error = eps + np.maximum(0.0, value - r) * np.array(self.plan.deltas)
+        correct = ((value - error) <= t) & (t <= (value + error))
+
+        def by_name(array: np.ndarray) -> dict:
+            return dict(zip(self.plan.names, array.tolist()))
+
         return ServiceSnapshot(
-            time=t, values=values, errors=errors, offsets=offsets, correct=correct
+            time=t,
+            values=by_name(value),
+            errors=by_name(error),
+            offsets=by_name(value - t),
+            correct=by_name(correct),
         )
 
     def sample(self, times: Sequence[float]) -> List[ServiceSnapshot]:

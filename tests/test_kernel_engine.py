@@ -12,17 +12,27 @@ in arithmetic, ordering, or RNG consumption fails loudly:
 * **bulk mode is partition-invariant** — 1 shard, 4 shards, and 4 shards
   across worker processes all produce identical digests, because RNG
   streams are per-server and the trace merge is keyed on
-  ``(cycle, phase rank, seq)``, neither of which depends on the partition.
+  ``(cycle, phase rank, seq)``, neither of which depends on the partition;
+* **bulk mode is layout-invariant** — on ragged graphs (every degree mix,
+  isolated servers and hubs included) the degree-bucketed shard reproduces
+  digests recorded from the padded layout it replaced, and a cycle's
+  Python-level work does not grow with the server count.
 """
 
 from __future__ import annotations
 
+import sys
+
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.im import IMPolicy
 from repro.core.mm import MMPolicy
+from repro.experiments import scale_gauntlet
 from repro.network import ConstantDelay, UniformDelay
-from repro.network.topology import full_mesh, ring
+from repro.network.topology import full_mesh, ring, stratum_hierarchy
 from repro.service.builder import ServerSpec, build_service
 from repro.kernel import (
     KernelConfig,
@@ -35,6 +45,10 @@ from repro.kernel import (
 
 pytestmark = pytest.mark.kernel
 
+STAT_FIELDS = (
+    "rounds", "replies_handled", "resets",
+    "rejects", "inconsistencies", "requests_answered",
+)
 TAU = 10.0
 DELAY = 0.01  # one-way bound; 2·bound = 0.02 < τ/(n+1) for n <= 499
 
@@ -49,6 +63,15 @@ def mesh_specs(n: int) -> list[ServerSpec]:
         )
         for k in range(n)
     ]
+
+
+def mixed_graph() -> nx.Graph:
+    """16 servers, degrees {0, 1, 2, 3, 13}: a hub, a chain, leaves, isolates."""
+    graph = nx.Graph()
+    graph.add_nodes_from(f"S{k + 1}" for k in range(16))  # S15, S16: degree 0
+    graph.add_edges_from(("S1", f"S{k}") for k in range(2, 15))  # hub: degree 13
+    graph.add_edges_from((f"S{k}", f"S{k + 1}") for k in range(2, 9))  # degrees 2, 3
+    return graph  # S10..S14: degree-1 leaves
 
 
 def scalar_service(graph, specs, policy, seed):
@@ -70,16 +93,24 @@ def kernel_service(graph, specs, policy, seed, **kwargs):
 
 
 def bulk_digests(policy_name, *, graph=None, specs=None, seed=0,
-                 horizon=200.0, shards=1, processes=0):
+                 horizon=200.0, shards=1, processes=0, **kwargs):
     graph = full_mesh(8) if graph is None else graph
     specs = mesh_specs(len(graph)) if specs is None else specs
     policy = MMPolicy() if policy_name == "mm" else IMPolicy()
     with kernel_service(
         graph, specs, policy, seed, mode="bulk",
-        shards=shards, processes=processes,
+        shards=shards, processes=processes, **kwargs,
     ) as svc:
         svc.run_until(horizon)
         return trace_digest(svc.trace), svc.state_digest(), svc.events_processed
+
+
+def stats_totals(svc) -> dict[str, int]:
+    per_server = svc.stats.values()
+    return {
+        field: sum(getattr(stats, field) for stats in per_server)
+        for field in STAT_FIELDS
+    }
 
 
 # ------------------------------------------------------- exact vs heap engine
@@ -112,10 +143,7 @@ class TestExactVsScalar:
 
         for name, kstats in exact.stats.items():
             sstats = scalar.servers[name].stats
-            for field in (
-                "rounds", "replies_handled", "resets",
-                "rejects", "inconsistencies", "requests_answered",
-            ):
+            for field in STAT_FIELDS:
                 assert getattr(kstats, field) == getattr(sstats, field), (
                     f"{name}.{field}"
                 )
@@ -245,3 +273,174 @@ class TestPlanValidation:
             svc.run_until(50.0)
             with pytest.raises(ValueError, match="backwards"):
                 svc.run_until(20.0)
+
+    @pytest.mark.parametrize("processes", [0, 2], ids=["in-process", "workers"])
+    def test_closed_service_refuses_to_run(self, processes):
+        svc = kernel_service(
+            full_mesh(4), mesh_specs(4), MMPolicy(), 0,
+            mode="bulk", shards=2, processes=processes,
+        )
+        svc.run_until(50.0)
+        cycles, events = svc.cycles_done, svc.events_processed
+        svc.close()
+        svc.close()  # idempotent
+        with pytest.raises(RuntimeError, match="kernel service is closed"):
+            svc.run_until(100.0)
+        with pytest.raises(RuntimeError, match="kernel service is closed"):
+            svc.state_digest()
+        assert (svc.cycles_done, svc.events_processed) == (cycles, events)
+
+
+# -------------------------------------------------------------- ragged graphs
+
+#: ``(graph, policy, trace_enabled) -> (trace digest, state digest, events,
+#: stats totals)`` at seed 5 after 100 s, recorded from the padded ``(m, D)``
+#: layout (commit 14293d5) that the degree buckets replaced.
+RAGGED_PINS = {
+    ("stratum300", "mm", True): (2291193453, 162903877, 25160, (3000, 11080, 40, 11040, 0, 11080)),
+    ("stratum300", "mm", False): (0, 162903877, 25160, (3000, 11080, 40, 11040, 0, 11080)),
+    ("stratum300", "im", True): (2736434063, 615510915, 25160, (3000, 11080, 3000, 0, 0, 11080)),
+    ("stratum300", "im", False): (0, 615510915, 25160, (3000, 11080, 3000, 0, 0, 11080)),
+    ("mixed", "mm", True): (1488357119, 392593157, 960, (160, 400, 20, 380, 0, 400)),
+    ("mixed", "mm", False): (0, 392593157, 960, (160, 400, 20, 380, 0, 400)),
+    ("mixed", "im", True): (3781780132, 1774635502, 960, (160, 400, 160, 0, 0, 400)),
+    ("mixed", "im", False): (0, 1774635502, 960, (160, 400, 160, 0, 0, 400)),
+}
+
+
+def ragged_case(graph_name):
+    if graph_name == "stratum300":
+        graph = stratum_hierarchy(300)
+        return graph, scale_gauntlet.build_specs(graph)
+    return mixed_graph(), mesh_specs(16)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = nx.Graph()
+    graph.add_nodes_from(f"S{k + 1}" for k in range(n))
+    graph.add_edges_from(
+        (f"S{i + 1}", f"S{j + 1}") for (i, j), kept in zip(pairs, keep) if kept
+    )
+    return graph
+
+
+class TestRaggedGraphs:
+    @pytest.mark.parametrize("shards,processes", [
+        (1, 0), (2, 0), (3, 0), (1, 2), (2, 2), (3, 2),
+    ])
+    @pytest.mark.parametrize("case", RAGGED_PINS, ids=lambda c: f"{c[0]}-{c[1]}-trace{c[2]:d}")
+    def test_reproduces_padded_layout_digests(self, case, shards, processes):
+        graph_name, policy_name, trace_enabled = case
+        graph, specs = ragged_case(graph_name)
+        policy = MMPolicy() if policy_name == "mm" else IMPolicy()
+        with kernel_service(
+            graph, specs, policy, 5, mode="bulk", shards=shards,
+            processes=processes, trace_enabled=trace_enabled,
+        ) as svc:
+            svc.run_until(100.0)
+            assert (
+                trace_digest(svc.trace),
+                svc.state_digest(),
+                svc.events_processed,
+                tuple(stats_totals(svc).values()),
+            ) == RAGGED_PINS[case]
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_graphs(), st.sampled_from(["mm", "im"]), st.integers(0, 3))
+    @example(nx.empty_graph(["S1", "S2", "S3", "S4"]), "im", 0)  # all isolated
+    @example(nx.empty_graph(["S1", "S2", "S3", "S4"]), "mm", 0)
+    @example(ring(5), "im", 1)  # a single bucket
+    def test_any_degree_mix_is_shard_invariant(self, graph, policy_name, seed):
+        policy = MMPolicy() if policy_name == "mm" else IMPolicy()
+        results = []
+        for shards in (1, 2, len(graph)):
+            with kernel_service(
+                graph, mesh_specs(len(graph)), policy, seed,
+                mode="bulk", shards=shards,
+            ) as svc:
+                svc.run_until(45.0)
+                totals = stats_totals(svc)
+                # The ledger: one poll per round, two deliveries per reply.
+                assert svc.events_processed == (
+                    totals["rounds"] + 2 * totals["replies_handled"]
+                )
+                assert totals["requests_answered"] == totals["replies_handled"]
+                verdicts = totals["resets"] + totals["rejects"] + totals["inconsistencies"]
+                assert verdicts == totals[
+                    "replies_handled" if policy_name == "mm" else "rounds"
+                ]
+                results.append(
+                    (trace_digest(svc.trace), svc.state_digest(), totals)
+                )
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    @pytest.mark.parametrize("policy_name", ["mm", "im"])
+    def test_prefetch_boundary_is_invisible(self, policy_name):
+        # 8 cycles on blocks of 3: two refills land mid-run, one block is
+        # left part-used; the draws must be the ones a single block gives.
+        horizon = 8 * TAU + 2 * DELAY
+        short = bulk_digests(policy_name, graph=mixed_graph(), horizon=horizon,
+                             prefetch_cycles=3)
+        long = bulk_digests(policy_name, graph=mixed_graph(), horizon=horizon,
+                            prefetch_cycles=32)
+        assert short == long
+        assert short[2] == 8 * (16 + 2 * 40)  # 8 cycles: 16 polls, 40 replies
+
+
+def python_work_of_one_cycle(policy, servers: int) -> tuple[int, int]:
+    """``(calls, lines)`` executed by one non-refill bulk cycle.
+
+    Calls are counted with ``sys.setprofile`` (Python and C functions),
+    lines with ``sys.settrace`` — an inline ``for i in range(m)`` body makes
+    no call ``setprofile`` can see, but every pass over it is a line event.
+    """
+    graph = stratum_hierarchy(servers)
+    assert {d for _, d in graph.degree()} == {1, 2, 3, 4, 10, 11}
+    counts = {"calls": 0, "lines": 0}
+
+    def on_call(frame, event, arg):
+        if event in ("call", "c_call"):
+            counts["calls"] += 1
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            counts["lines"] += 1
+        return on_line
+
+    with kernel_service(
+        graph, scale_gauntlet.build_specs(graph), policy, 0,
+        mode="bulk", trace_enabled=False,
+    ) as svc:
+        svc.run_until(TAU + 2 * DELAY)  # cycle 0 refills the draw blocks
+        assert svc.cycles_done == 1
+        sys.setprofile(on_call)
+        sys.settrace(on_line)
+        try:
+            svc.run_until(2 * TAU + 2 * DELAY)
+        finally:
+            sys.settrace(None)
+            sys.setprofile(None)
+        assert svc.cycles_done == 2
+    return counts["calls"], counts["lines"]
+
+
+class TestCycleIsVectorized:
+    @pytest.mark.parametrize("policy", [MMPolicy(), IMPolicy()], ids=["mm", "im"])
+    def test_python_work_per_cycle_is_flat_in_server_count(self, policy):
+        """A cycle's Python work is O(#distinct degrees); O(m) only in numpy.
+
+        Both graphs have the same six degrees, so the same number of calls
+        and lines must run whether a cycle advances 500 servers or 4 000.
+        Refill cycles (every ``prefetch_cycles``-th) are exempt: each server
+        draws from its own stream — what makes digests shard-invariant — so
+        the refill is an O(m) loop by design.
+        """
+        small = python_work_of_one_cycle(policy, 500)
+        large = python_work_of_one_cycle(policy, 4000)
+        assert small == large
+        assert small[0] > 0 and small[1] > 0
