@@ -557,8 +557,8 @@ def build_kernel_service(
             differential testing) or ``"bulk"`` for the vectorized/sharded
             scale mode.
         shards: Bulk mode only — number of topology shards.
-        processes: Bulk mode only — OS processes to spread shards over
-            (0 = in-process).
+        processes: Bulk mode only — worker processes to spread shards over
+            (0 = in-process; at most one per shard is started).
 
     Returns:
         :class:`ExactKernelService` or

@@ -3,7 +3,8 @@
 This is the scale arm of the kernel.  The topology's servers (sorted by
 name) are split into contiguous shards; each shard advances one full poll
 cycle at a time as numpy array phases over all of its servers, and shards
-exchange boundary state at cycle barriers.
+share one thing: a double-buffered table of every server's cycle-start
+state, indexed by global plan rank.
 
 **Round semantics (Jacobi).**  Within a cycle, every answer a server gives
 is computed from the answering server's *cycle-start* committed state.  The
@@ -20,9 +21,12 @@ so correctness properties are preserved while exactness is mode
 
 **Lookahead safety.**  A cycle-``c`` round polls at ``phase + c·τ`` and
 closes by ``phase + c·τ + 2·bound``.  A shard may therefore advance its
-cycle ``c`` independently once it holds neighbours' cycle-start state: no
-message generated in cycle ``c`` can influence another cycle-``c`` answer
-basis, and the barrier exchanges exactly the state the next cycle needs.
+cycle ``c`` independently once neighbours' cycle-start state is published:
+no message generated in cycle ``c`` can influence another cycle-``c`` answer
+basis.  A rule MM-2/IM-2 round reads nothing of a neighbour but its
+``<C_j, E_j>``, so that is all shards share: in cycle ``c`` everyone reads
+``table[c % 2]`` and writes only its own columns of ``table[(c + 1) % 2]``,
+and the per-cycle barrier orders those writes before the next cycle's reads.
 This is the classic conservative-lookahead argument with the minimum link
 delay ξ as the safe horizon, specialised to the round structure: the
 lookahead window is a whole cycle, not just ``ξ``.
@@ -39,7 +43,9 @@ asserts it.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,33 +74,30 @@ _STAT_FIELDS = (
 )
 
 
-def partition_names(names: Sequence[str], shards: int) -> List[List[str]]:
-    """Split sorted server names into ``shards`` contiguous blocks."""
+def partition_names(
+    names: Sequence[str], shards: int, weights: Optional[Sequence[float]] = None
+) -> List[List[str]]:
+    """Split sorted server names into ``shards`` contiguous, non-empty blocks
+    of near-equal total weight (equal counts when ``weights`` is omitted).
+
+    Block ``s`` ends with the last name whose cumulative weight is within
+    ``s + 1`` shares of the total, so no block outweighs one share plus the
+    heaviest name.
+    """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, len(names))
-    bounds = np.linspace(0, len(names), shards + 1).astype(int)
+    n = len(names)
+    shards = min(shards, n)
+    cum = np.arange(1, n + 1) if weights is None else np.cumsum(weights)
+    if len(cum) != n or (np.diff(cum, prepend=0) <= 0).any():
+        raise ValueError("weights must be one positive number per name")
+    shares = np.linspace(0, cum[-1] if n else 0, shards + 1)
+    bounds = np.searchsorted(cum, shares, side="right")
+    # A name heavier than a share leaves the cuts after it bunched up:
+    # spread them so that every block keeps at least one name.
+    k = np.arange(shards + 1)
+    bounds = np.minimum(np.maximum.accumulate(bounds - k) + k, n - shards + k)
     return [list(names[bounds[s] : bounds[s + 1]]) for s in range(shards)]
-
-
-def _shard_metadata(plan: KernelPlan, shards: int):
-    """Per-shard (local, halo, border) name lists, identical in parent and
-    workers (both derive it from the plan)."""
-    blocks = partition_names(plan.names, shards)
-    halos: List[List[str]] = []
-    borders: List[List[str]] = []
-    for block in blocks:
-        local = set(block)
-        halo = set()
-        border = set()
-        for name in block:
-            for nbr in plan.neighbours[plan.index[name]]:
-                if nbr not in local:
-                    halo.add(nbr)
-                    border.add(name)
-        halos.append(sorted(halo))
-        borders.append(sorted(border))
-    return blocks, halos, borders
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,8 @@ class _Bucket:
 
     ``rows`` is the bucket's slice of the shard's bucket-major state arrays;
     the ``(m_d, d)`` arrays hold, per server and sorted-neighbour slot, the
-    neighbour's answer-table position and static rates.
+    neighbour's global plan rank — its column of the cycle-start table —
+    and static rates.
     """
 
     degree: int
@@ -121,13 +125,11 @@ class _BulkShard:
     so each degree's servers are one contiguous slice of every state array
     and a cycle is a short loop over the distinct degrees, each step dense
     ``(m_d, d)`` array arithmetic.  The order is private: results leave the
-    shard keyed by global rank (:meth:`collect`, trace tags) or by sorted
-    border name (:meth:`border_state`).
+    shard keyed by global rank (published table columns, trace tags,
+    ``ranks`` beside ``stats``).
     """
 
-    def __init__(
-        self, plan: KernelPlan, block: List[str], halo: List[str], border: List[str]
-    ) -> None:
+    def __init__(self, plan: KernelPlan, block: List[str]) -> None:
         self.plan = plan
         m = len(block)
         first = plan.index[block[0]]  # a block is a contiguous run of plan.names
@@ -135,29 +137,25 @@ class _BulkShard:
         deg = np.array([len(nbrs) for nbrs in nbr_names], dtype=np.int64)
         order = np.argsort(deg, kind="stable")
         self.deg = deg[order]
-        self._ranks = first + order
+        self.ranks = first + order
+        # Publishing is a gather into the block's own columns of the table:
+        # local position of each rank, in rank order.
+        self._columns = slice(first, first + m)
+        self._by_rank = np.argsort(order)
         self.local_names = [block[i] for i in order]
         self._nbr_names = [nbr_names[i] for i in order]
-        comb_pos = {name: i for i, name in enumerate(self.local_names + halo)}
-        self._border_local_idx = np.array(
-            [comb_pos[name] for name in border], dtype=np.int64
-        )
-        comb_ranks = np.concatenate(
-            [self._ranks, np.array([plan.index[name] for name in halo], dtype=np.int64)]
-        )
-        # Static per-server rates: the combined answer-table view (local
-        # servers first, then the halo) and its local prefix.
-        comb_one_skew = 1.0 + np.asarray(plan.skews)[comb_ranks]
-        comb_delta = np.asarray(plan.deltas)[comb_ranks]
-        self._one_skew = comb_one_skew[:m]
-        self.delta = comb_delta[:m]
+        # Static per-server rates, by global rank and for the local servers.
+        plan_one_skew = 1.0 + np.asarray(plan.skews)
+        plan_delta = np.asarray(plan.deltas)
+        self._one_skew = plan_one_skew[self.ranks]
+        self.delta = plan_delta[self.ranks]
         self._one_delta = 1.0 + self.delta
         # Mutable clock/error state, rows seg_start, seg_value (DriftingClock
-        # segment), eps, r (MM-1 terms): one table, so snapshots and border
-        # reads are single copies.
+        # segment), eps, r (MM-1 terms): the live copy rounds reset in place,
+        # published to the cycle-start table when the cycle's rounds are done.
         self.state = np.zeros((4, m))
-        self.state[2] = np.asarray(plan.initial_errors)[self._ranks]
-        self.poll_t = np.asarray(plan.phases)[self._ranks]
+        self.state[2] = np.asarray(plan.initial_errors)[self.ranks]
+        self.poll_t = np.asarray(plan.phases)[self.ranks]
         self.stats = np.zeros((len(_STAT_FIELDS), m), dtype=np.int64)
         self.cycle = 0
         self._events_per_cycle = int(m + 2 * self.deg.sum())
@@ -168,7 +166,7 @@ class _BulkShard:
         registry = RngRegistry(seed=plan.seed)
         self._gens = [registry.stream(f"kernel/{name}") for name in self.local_names]
         flat_idx = np.array(
-            [comb_pos[nbr] for nbrs in self._nbr_names for nbr in nbrs], dtype=np.int64
+            [plan.index[nbr] for nbrs in self._nbr_names for nbr in nbrs], dtype=np.int64
         )
         degrees, starts = np.unique(self.deg, return_index=True)
         bounds = np.append(starts, m).tolist()
@@ -182,8 +180,8 @@ class _BulkShard:
                     degree=d,
                     rows=slice(lo, hi),
                     nbr_idx=idx,
-                    nbr_one_skew=comb_one_skew[idx],
-                    nbr_delta=comb_delta[idx],
+                    nbr_one_skew=plan_one_skew[idx],
+                    nbr_delta=plan_delta[idx],
                     draws=np.empty((plan.prefetch_cycles, hi - lo, 2 * d)),
                 )
             )
@@ -200,28 +198,24 @@ class _BulkShard:
             for i, gen in enumerate(self._gens[bucket.rows]):
                 draws[:, i, :] = gen.uniform(lo, hi, size=size)
 
-    def step_cycle(
-        self, halo_state: np.ndarray
-    ) -> Tuple[np.ndarray, List[TaggedRow], int]:
+    def step_cycle(self, table: np.ndarray) -> Tuple[List[TaggedRow], int]:
         """Advance every local server one poll round.
 
         Args:
-            halo_state: ``(4, n_halo)`` cycle-start state of halo servers
-                (seg_start, seg_value, eps, r rows).
+            table: the ``(2, 4, n)`` cycle-start table (seg_start, seg_value,
+                eps, r rows by global rank).  Answers are read from
+                ``table[cycle % 2]``, which nobody writes during this cycle;
+                the post-cycle local state is published to the other buffer.
 
         Returns:
-            ``(border_state, tagged_rows, events)``: the post-cycle
-            ``(4, n_border)`` state of this shard's border servers (see
-            :meth:`border_state`), the cycle's tagged trace rows, and its
+            ``(tagged_rows, events)``: the cycle's tagged trace rows and its
             event count — one poll plus two deliveries per reply, matching
             the heap engine's ledger.
         """
         plan = self.plan
         if self.cycle % plan.prefetch_cycles == 0:
             self._refill()
-        # A copy even with no halo: rounds mutate the live state in place
-        # and answers must come from the cycle-start snapshot.
-        snap = np.concatenate([self.state, halo_state], axis=1)
+        snap = table[self.cycle % 2]
         seg_start, seg_value = self.state[:2]
         sent_local = seg_value + (self.poll_t - seg_start) * self._one_skew
         rows_out: List[TaggedRow] = []
@@ -231,9 +225,13 @@ class _BulkShard:
         step = self._step_mm if plan.flags.kind == "mm" else self._step_im
         for bucket in self._buckets:
             step(bucket, snap, sent_local, rows_out)
+        # mode="clip" only skips take's bounds-check buffering: the indices
+        # are a permutation.
+        published = table[(self.cycle + 1) % 2][:, self._columns]
+        np.take(self.state, self._by_rank, axis=1, out=published, mode="clip")
         self.poll_t = self.poll_t + plan.tau  # repeated addition, like PeriodicTask
         self.cycle += 1
-        return self.border_state(), rows_out, self._events_per_cycle
+        return rows_out, self._events_per_cycle
 
     def _replies(
         self, bucket: _Bucket, snap: np.ndarray
@@ -242,7 +240,7 @@ class _BulkShard:
 
         Returns ``(receipt, value, error, order)``, all ``(m_d, d)``:
         receipt instants, the neighbours' rule MM-1 answers ``<C_j, E_j>``
-        from the cycle-start snapshot, and the sorted-neighbour slot of each
+        from the cycle-start buffer, and the sorted-neighbour slot of each
         arrival (ties keep slot order).
         """
         d = bucket.degree
@@ -303,7 +301,7 @@ class _BulkShard:
         acc = np.empty_like(cons)
         if self.plan.trace_enabled:
             names = self.local_names[rows]
-            ranks = self._ranks[rows].tolist()
+            ranks = self.ranks[rows].tolist()
             names_o = self._arrival_names(bucket, order)
         for s in range(d):
             tb_s = tb_o[:, s]
@@ -408,7 +406,7 @@ class _BulkShard:
             for k, (name, rank, t, a_slot, b_slot) in enumerate(
                 zip(
                     self.local_names[rows],
-                    self._ranks[rows].tolist(),
+                    self.ranks[rows].tolist(),
                     t_close.tolist(),
                     outcome.a_slot.tolist(),
                     outcome.b_slot.tolist(),
@@ -438,94 +436,96 @@ class _BulkShard:
                     )
                 rows_out.append((self.cycle, rank, 0, record))
 
-    # ------------------------------------------------------------- reporting
 
-    def border_state(self) -> np.ndarray:
-        """Post-cycle ``(4, n_border)`` state of this shard's border servers."""
-        return self.state[:, self._border_local_idx]
+def _serve_run(run: List[_BulkShard], first: int, table: np.ndarray, command: str):
+    """Serve one command on a contiguous run of shards, whoever owns it.
 
-    def collect(self) -> Dict[str, np.ndarray]:
-        return {
-            "ranks": self._ranks,
-            "state": self.state.copy(),
-            "stats": self.stats.copy(),
-        }
+    ``"stats"`` returns each shard's ``(ranks, stats)``; ``"step"`` advances
+    the shards one cycle, in order, and returns each one's ``(trace rows,
+    events)`` — or, the caller being possibly a pipe away, the failure of
+    shard number ``first + i`` as a message.
+    """
+    if command == "stats":
+        return [(shard.ranks, shard.stats) for shard in run]
+    results = []
+    for number, shard in enumerate(run, first):
+        try:
+            results.append(shard.step_cycle(table))
+        except Exception:
+            return (
+                f"kernel shard {number} failed in cycle {shard.cycle}:\n"
+                f"{traceback.format_exc()}"
+            )
+    return results
 
 
-def _shard_worker(conn, plan: KernelPlan, *metadata: List[str]) -> None:
-    """Child-process loop: build the shard, serve step/collect commands."""
-    shard = _BulkShard(plan, *metadata)
+def _shard_worker(
+    conn, plan: KernelPlan, blocks: List[List[str]], first: int, table: np.ndarray
+) -> None:
+    """Child-process loop: build a run of shards, serve commands until close."""
+    run = [_BulkShard(plan, block) for block in blocks]
     while True:
-        msg = conn.recv()
-        if msg[0] == "step":
-            conn.send(shard.step_cycle(msg[1]))
-        elif msg[0] == "collect":
-            conn.send(shard.collect())
-        elif msg[0] == "close":
+        command = conn.recv()
+        if command == "close":
             conn.close()
             return
+        conn.send(_serve_run(run, first, table, command))
 
 
 class ShardedKernelService:
     """The bulk-mode service: N shards, cycle barriers, merged reporting.
 
-    With ``processes == 0`` shards advance serially in-process (fastest for
-    small N; no pickling); with ``processes > 0`` shards are spread over
-    forked worker processes and the barrier exchange rides ``Pipe``s.
-    Either way the results are identical — the exchange protocol and RNG
+    With ``processes == 0`` the parent owns every shard and steps them in
+    order; with ``processes > 0`` up to that many forked workers each own a
+    contiguous run of shards and step it against the same cycle-start table,
+    mapped shared before the fork.  The per-cycle ``step`` round-trip on the
+    ``Pipe``s is the barrier and carries only trace rows and event counts.
+    Either way the results are identical — the table protocol and RNG
     streams do not depend on the execution vehicle.
     """
 
     def __init__(self, config: KernelConfig, *, shards: int = 1, processes: int = 0) -> None:
         self.plan = plan_kernel(config)
         n = len(self.plan.names)
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        shards = min(shards, n)
-        self._shards_n = shards
-        blocks, halos, borders = _shard_metadata(self.plan, shards)
-        # Concatenated border table: shard s's border names occupy a
-        # contiguous slice; halo gathers index into the concatenation.
-        concat: List[str] = []
-        self._border_slices: List[slice] = []
-        for border in borders:
-            self._border_slices.append(slice(len(concat), len(concat) + len(border)))
-            concat.extend(border)
-        pos = {name: i for i, name in enumerate(concat)}
-        self._halo_src = [
-            np.array([pos[name] for name in halo], dtype=np.int64) for halo in halos
-        ]
-        self._border_table = np.zeros((4, len(concat)))
-        self._border_table[2] = [
-            self.plan.initial_errors[self.plan.index[name]] for name in concat
-        ]
+        # Cut by ledger events per cycle (a poll and two deliveries per
+        # neighbour), which is what a shard's cycle time follows.
+        blocks = partition_names(
+            self.plan.names, shards, [1 + 2 * len(nbrs) for nbrs in self.plan.neighbours]
+        )
+        workers = min(processes, len(blocks))
+        # Anonymous and shared when forked workers publish to it, private
+        # otherwise; both start zeroed.
+        buffer = mmap.mmap(-1, 2 * 4 * 8 * n) if workers else bytearray(2 * 4 * 8 * n)
+        self._table = np.frombuffer(buffer, dtype=np.float64).reshape(2, 4, n)
+        self._table[0, 2] = self.plan.initial_errors
         self._phase_max = max(self.plan.phases) if self.plan.phases else 0.0
         self._now = 0.0
         self._cycles_done = 0
         self._events = 0
         self._rows: List[TaggedRow] = []
         self._trace_cache: Optional[List[TraceRecord]] = None
-        self._collected: Optional[Dict[str, np.ndarray]] = None
+        self._stats_cache: Optional[np.ndarray] = None
         self._closed = False
         self._procs: List = []
         self._conns: List = []
         self._local: List[_BulkShard] = []
-        if processes:
+        if workers:
             ctx = multiprocessing.get_context("fork")
-            for metadata in zip(blocks, halos, borders):
+            first = 0
+            for run in partition_names(blocks, workers):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child_conn, self.plan, *metadata),
+                    args=(child_conn, self.plan, run, first, self._table),
                     daemon=True,
                 )
                 proc.start()
                 child_conn.close()
                 self._procs.append(proc)
                 self._conns.append(parent_conn)
+                first += len(run)
         else:
-            for metadata in zip(blocks, halos, borders):
-                self._local.append(_BulkShard(self.plan, *metadata))
+            self._local = [_BulkShard(self.plan, block) for block in blocks]
 
     # ---------------------------------------------------------------- control
 
@@ -535,23 +535,29 @@ class ShardedKernelService:
             self._phase_max + cycle * self.plan.tau + 2.0 * self.plan.delay_bound
         )
 
+    def _ask(self, command: str) -> list:
+        """One reply per run of shards: the parent's own, or each worker's."""
+        if not self._conns:
+            return [_serve_run(self._local, 0, self._table, command)]
+        try:
+            for conn in self._conns:
+                conn.send(command)
+            return [conn.recv() for conn in self._conns]
+        except (EOFError, OSError):
+            self.close()
+            raise RuntimeError("a kernel worker exited without replying") from None
+
     def _step_cycle(self) -> None:
-        halos = [self._border_table[:, src] for src in self._halo_src]
-        if self._conns:
-            for conn, halo in zip(self._conns, halos):
-                conn.send(("step", halo))
-            results = [conn.recv() for conn in self._conns]
-        else:
-            results = [
-                shard.step_cycle(halo) for shard, halo in zip(self._local, halos)
-            ]
-        for s, (border, rows, events) in enumerate(results):
-            self._border_table[:, self._border_slices[s]] = border
-            self._rows.extend(rows)
-            self._events += events
+        for reply in self._ask("step"):
+            if isinstance(reply, str):
+                self.close()
+                raise RuntimeError(reply)
+            for rows, events in reply:
+                self._rows.extend(rows)
+                self._events += events
         self._cycles_done += 1
         self._trace_cache = None
-        self._collected = None
+        self._stats_cache = None
 
     def run_until(self, time: float) -> None:
         """Advance to real time ``time``, whole cycles at a time.
@@ -577,7 +583,7 @@ class ShardedKernelService:
         self._closed = True
         for conn in self._conns:
             try:
-                conn.send(("close",))
+                conn.send("close")
                 conn.close()
             except (BrokenPipeError, OSError):
                 pass
@@ -608,25 +614,11 @@ class ShardedKernelService:
     def cycles_done(self) -> int:
         return self._cycles_done
 
-    def _collect(self) -> Dict[str, np.ndarray]:
+    def _state(self) -> np.ndarray:
+        """The ``(4, n)`` state every server holds now: the buffer the last
+        cycle published and the next one will read."""
         self._check_open()
-        if self._collected is None:
-            if self._conns:
-                for conn in self._conns:
-                    conn.send(("collect",))
-                parts = [conn.recv() for conn in self._conns]
-            else:
-                parts = [shard.collect() for shard in self._local]
-            n = len(self.plan.names)
-            merged = {
-                "state": np.zeros((4, n)),  # seg_start, seg_value, eps, r rows
-                "stats": np.zeros((len(_STAT_FIELDS), n), dtype=np.int64),
-            }
-            for part in parts:
-                for key, table in merged.items():
-                    table[:, part["ranks"]] = part[key]
-            self._collected = merged
-        return self._collected
+        return self._table[self._cycles_done % 2]
 
     @property
     def trace(self) -> List[TraceRecord]:
@@ -637,18 +629,24 @@ class ShardedKernelService:
 
     @property
     def stats(self) -> Dict[str, ServerStats]:
-        columns = self._collect()["stats"].T.tolist()
+        self._check_open()
+        if self._stats_cache is None:
+            merged = np.zeros((len(_STAT_FIELDS), len(self.plan.names)), dtype=np.int64)
+            for reply in self._ask("stats"):
+                for ranks, stats in reply:
+                    merged[:, ranks] = stats
+            self._stats_cache = merged
         return {
             name: ServerStats(**dict(zip(_STAT_FIELDS, column)))
-            for name, column in zip(self.plan.names, columns)
+            for name, column in zip(self.plan.names, self._stats_cache.T.tolist())
         }
 
     def state_digest(self) -> int:
         """CRC32 over the merged post-run state arrays (shard-invariant)."""
-        return state_digest(self.plan.names, *self._collect()["state"])
+        return state_digest(self.plan.names, *self._state())
 
     def snapshot(self) -> ServiceSnapshot:
-        seg_start, seg_value, eps, r = self._collect()["state"]
+        seg_start, seg_value, eps, r = self._state()
         t = self._now
         value = seg_value + (t - seg_start) * (1.0 + np.array(self.plan.skews))
         error = eps + np.maximum(0.0, value - r) * np.array(self.plan.deltas)

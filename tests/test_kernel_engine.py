@@ -16,14 +16,20 @@ in arithmetic, ordering, or RNG consumption fails loudly:
 * **bulk mode is layout-invariant** — on ragged graphs (every degree mix,
   isolated servers and hubs included) the degree-bucketed shard reproduces
   digests recorded from the padded layout it replaced, and a cycle's
-  Python-level work does not grow with the server count.
+  Python-level work does not grow with the server count;
+* **the cycle-start table is the only thing shards share** — after every
+  cycle, odd and even, the buffer the service reads is the one the shards
+  just published, for any split of shards over worker processes; a failing
+  shard closes the service with its traceback instead of a dead pipe.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,6 +48,7 @@ from repro.kernel import (
     state_digest,
     trace_digest,
 )
+from repro.kernel.shard import _BulkShard
 
 pytestmark = pytest.mark.kernel
 
@@ -187,6 +194,20 @@ class TestBulkDeterminism:
         multi = bulk_digests(policy_name, shards=4, processes=2)
         assert multi == baseline
 
+    @pytest.mark.parametrize("shards,processes", [(4, 2), (3, 2), (2, 5)])
+    def test_processes_is_a_worker_count(self, shards, processes):
+        baseline = bulk_digests("im", graph=mixed_graph())
+        with kernel_service(
+            mixed_graph(), mesh_specs(16), IMPolicy(), 0,
+            mode="bulk", shards=shards, processes=processes,
+        ) as svc:
+            assert len(multiprocessing.active_children()) == min(shards, processes)
+            svc.run_until(200.0)
+            assert (
+                trace_digest(svc.trace), svc.state_digest(), svc.events_processed
+            ) == baseline
+        assert multiprocessing.active_children() == []
+
     def test_trace_disabled_keeps_state_digest(self):
         graph = full_mesh(8)
         traced = bulk_digests("mm")
@@ -200,6 +221,94 @@ class TestBulkDeterminism:
             assert svc.events_processed == traced[2]
 
 
+# ------------------------------------------------------- the cycle-start table
+
+
+class TestCycleStartTable:
+    @pytest.mark.parametrize("policy_name", ["mm", "im"])
+    def test_every_cycle_reads_the_buffer_just_published(self, policy_name):
+        # Odd cycle counts included: an off-by-one in the buffer parity
+        # still agrees with itself after every even number of cycles.
+        policy = MMPolicy() if policy_name == "mm" else IMPolicy()
+        specs = mesh_specs(16)
+        horizons = [c * TAU + 2 * DELAY for c in (1, 2, 3, 4)]
+
+        def after_each_cycle(shards, processes):
+            seen = []
+            with kernel_service(
+                mixed_graph(), specs, policy, 1, mode="bulk",
+                shards=shards, processes=processes,
+            ) as svc:
+                for cycles, horizon in enumerate(horizons, 1):
+                    svc.run_until(horizon)
+                    assert svc.cycles_done == cycles
+                    seen.append((svc.state_digest(), svc.snapshot(), list(svc.trace)))
+            return seen
+
+        baseline = after_each_cycle(1, 0)
+        for shards in (1, 2, 3, 5):
+            for processes in (0, 2, 3):
+                assert after_each_cycle(shards, processes) == baseline, (shards, processes)
+        # The trace never passes through the table, so it says which state a
+        # read of the right buffer must show: each server's last reset.
+        for _digest, snapshot, trace in baseline:
+            last_reset = {
+                record.source: record for record in trace if record.kind == "reset"
+            }
+            assert last_reset
+            for spec in specs:
+                start, value, eps = 0.0, 0.0, spec.initial_error
+                if spec.name in last_reset:
+                    reset = last_reset[spec.name]
+                    start, value, eps = (
+                        reset.time, reset.data["new_value"], reset.data["new_error"]
+                    )
+                now = value + (snapshot.time - start) * (1.0 + spec.skew)
+                assert snapshot.values[spec.name] == now
+                assert snapshot.errors[spec.name] == eps + max(0.0, now - value) * spec.delta
+
+    @pytest.mark.parametrize("processes", [0, 2], ids=["in-process", "workers"])
+    def test_failing_shard_closes_the_service_with_its_traceback(
+        self, processes, monkeypatch
+    ):
+        step_cycle = _BulkShard.step_cycle
+
+        def failing(shard, table):
+            if shard.cycle == 2:
+                raise ArithmeticError("injected")
+            return step_cycle(shard, table)
+
+        monkeypatch.setattr(_BulkShard, "step_cycle", failing)  # before the fork
+        svc = kernel_service(
+            full_mesh(4), mesh_specs(4), MMPolicy(), 0,
+            mode="bulk", shards=2, processes=processes,
+        )
+        svc.run_until(2 * TAU + 2 * DELAY)
+        assert svc.cycles_done == 2
+        with pytest.raises(
+            RuntimeError, match=r"(?s)kernel shard 0 failed in cycle 2:.*ArithmeticError: injected"
+        ):
+            svc.run_until(100.0)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="kernel service is closed"):
+            svc.run_until(100.0)
+
+    def test_dead_worker_closes_the_service(self):
+        svc = kernel_service(
+            full_mesh(4), mesh_specs(4), MMPolicy(), 0,
+            mode="bulk", shards=2, processes=2,
+        )
+        svc.run_until(50.0)
+        victim = multiprocessing.active_children()[0]
+        victim.kill()
+        victim.join(timeout=5.0)
+        with pytest.raises(RuntimeError, match="worker exited without replying"):
+            svc.run_until(100.0)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="kernel service is closed"):
+            svc.state_digest()
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -210,6 +319,40 @@ class TestPlanValidation:
         assert [n for block in blocks for n in block] == names
         assert all(block for block in blocks)
         assert partition_names(names, 1) == [names]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), max_size=24),
+        st.integers(1, 30),
+    )
+    @example([1, 1, 1, 1], 3)  # the all-isolated graph: one poll per server
+    # mixed_graph's ledger weights in name order (S1 is the degree-13 hub):
+    # the hub outweighs a share, so a bare searchsorted cut before it is empty.
+    @example([27, 3, 3, 3, 3, 3, 1, 1, 5, 7, 7, 7, 7, 7, 7, 5], 5)
+    @example([1, 1, 1, 100], 3)  # ... and after it, the cuts run out of names
+    def test_weighted_partition_properties(self, weights, shards):
+        names = [f"S{k:02d}" for k in range(len(weights))]
+        blocks = partition_names(names, shards, weights)
+        assert len(blocks) == min(shards, len(names))  # clamps
+        assert [name for block in blocks for name in block] == names
+        assert all(blocks)
+        if names:
+            weight_of = dict(zip(names, weights))
+            heaviest = max(sum(weight_of[name] for name in block) for block in blocks)
+            assert heaviest * len(blocks) <= sum(weights) + max(weights) * len(blocks)
+        # Unit weights are the equal-count split bench/ gets from two arguments.
+        bounds = np.linspace(0, len(names), len(blocks) + 1).astype(int)
+        by_count = [names[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        assert partition_names(names, shards) == by_count
+        assert partition_names(names, shards, [1] * len(names)) == by_count
+
+    def test_partition_rejects_malformed_weights(self):
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            partition_names(["a", "b"], 0)
+        with pytest.raises(ValueError, match="one positive number per name"):
+            partition_names(["a", "b", "c"], 2, [1, 0, 1])
+        with pytest.raises(ValueError, match="one positive number per name"):
+            partition_names(["a", "b", "c"], 2, [1, 1])
 
     def test_rejects_unsupported_specs(self):
         graph = full_mesh(3)
