@@ -4,7 +4,8 @@ Main subcommands::
 
     python -m repro simulate   # build and run a service from flags
     python -m repro figures    # regenerate the paper's figures
-    python -m repro experiment # run any experiment module by name
+    python -m repro experiment # run any registered experiment at its defaults
+    python -m repro <name>     # the same experiment, with its flags
     python -m repro figure1    # instrumented Figure 1 (telemetry export)
     python -m repro top        # live text dashboard over a running sim
 
@@ -30,37 +31,7 @@ from .core.ft_im import FTIMPolicy
 from .core.im import IMPolicy
 from .core.mm import MMPolicy
 from .core.recovery import ThirdServerRecovery
-from .experiments import (
-    ablations,
-    blackout_gauntlet,
-    chaos_soak,
-    churn as churn_experiment,
-    cold_start,
-    correctness,
-    delay_asymmetry,
-    discipline,
-    drift_recovery,
-    dynamic_gauntlet,
-    failures,
-    figure1,
-    figure2,
-    figure3,
-    figure3_liars,
-    figure4,
-    figure4_repair,
-    flash_crowd,
-    live_gauntlet,
-    mitm_gauntlet,
-    overhead,
-    partition,
-    quantization,
-    scale_gauntlet,
-    tenfold,
-    theorem4,
-    topology_study,
-    theorem8,
-    theorem_bounds,
-)
+from .experiments import REGISTRY, figure1, harness
 from .network.delay import UniformDelay
 from .network.topology import full_mesh, line, random_connected, ring, star, two_level_internet
 from .recovery import SelfStabilizingRecovery
@@ -79,37 +50,8 @@ POLICIES = {
     "first": FirstReplyPolicy,
 }
 
-EXPERIMENTS = {
-    "figure1": figure1.main,
-    "figure2": figure2.main,
-    "figure3": figure3.main,
-    "figure3-liars": figure3_liars.main,
-    "figure4": figure4.main,
-    "figure4-repair": figure4_repair.main,
-    "flash-crowd": flash_crowd.main,
-    "theorem4": theorem4.main,
-    "theorem8": theorem8.main,
-    "theorem-bounds": theorem_bounds.main,
-    "tenfold": tenfold.main,
-    "recovery": drift_recovery.main,
-    "partition": partition.main,
-    "quantization": quantization.main,
-    "topology": topology_study.main,
-    "churn": churn_experiment.main,
-    "cold-start": cold_start.main,
-    "discipline": discipline.main,
-    "failures": failures.main,
-    "overhead": overhead.main,
-    "correctness": correctness.main,
-    "asymmetry": delay_asymmetry.main,
-    "ablations": ablations.main,
-    "chaos-soak": chaos_soak.main,
-    "dynamic-gauntlet": dynamic_gauntlet.main,
-    "blackout-gauntlet": blackout_gauntlet.main,
-    "mitm-gauntlet": mitm_gauntlet.main,
-    "live-gauntlet": live_gauntlet.main,
-    "scale-gauntlet": scale_gauntlet.main,
-}
+#: CLI name -> verdict-returning main, straight from the one registry.
+EXPERIMENTS = {name: experiment.main for name, experiment in REGISTRY.items()}
 
 
 def _build_topology(args: argparse.Namespace):
@@ -255,36 +197,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """The ``figures`` subcommand."""
-    mains = {
-        "1": figure1.main,
-        "2": figure2.main,
-        "3": figure3.main,
-        "4": figure4.main,
-    }
-    targets = sorted(mains) if args.which == "all" else [args.which]
+    targets = "1234" if args.which == "all" else args.which
     for index, which in enumerate(targets):
         if index:
             print("\n" + "=" * 72 + "\n")
-        mains[which]()
+        EXPERIMENTS[f"figure{which}"]()
     return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """The ``experiment`` subcommand."""
     if args.name == "list":
-        for name in sorted(EXPERIMENTS):
+        for name in sorted(REGISTRY):
             print(name)
         return 0
-    runner = EXPERIMENTS.get(args.name)
-    if runner is None:
+    experiment = REGISTRY.get(args.name)
+    if experiment is None:
         print(
             f"unknown experiment {args.name!r}; try: "
-            + ", ".join(sorted(EXPERIMENTS)),
+            + ", ".join(sorted(REGISTRY)),
             file=sys.stderr,
         )
         return 2
-    runner()
-    return 0
+    return experiment.run()
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
@@ -361,194 +296,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure3_liars(args: argparse.Namespace) -> int:
-    """The ``figure3-liars`` subcommand: the Byzantine liar gauntlet."""
-    return 0 if figure3_liars.main(json_path=args.json) else 1
-
-
-def cmd_flash_crowd(args: argparse.Namespace) -> int:
-    """The ``flash-crowd`` subcommand: overload vs the sync plane."""
-    if not args.seeds:
-        print("flash-crowd: need at least one seed", file=sys.stderr)
-        return 2
-    ok = flash_crowd.main(json_path=args.json, seeds=args.seeds)
-    return 0 if ok else 1
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """The ``chaos`` subcommand: seeded fault storms with the oracle on."""
-    if args.horizon <= 0 or args.tau <= 0:
-        print("chaos: --horizon and --tau must be positive", file=sys.stderr)
-        return 2
-    if args.servers < 3:
-        print("chaos: --servers must be at least 3", file=sys.stderr)
-        return 2
-    failures_seen = 0
-    rows = []
-    for seed in range(args.seeds):
-        for policy_name in [p.upper() for p in args.policies]:
-            telemetry = (
-                ServiceTelemetry(spans=False, sample_period=args.tau)
-                if args.telemetry_out
-                else None
-            )
-            outcome = chaos_soak.run_soak(
-                policy_name,
-                seed,
-                n=args.servers,
-                tau=args.tau,
-                horizon=args.horizon,
-                telemetry=telemetry,
-            )
-            if telemetry is not None:
-                run_dir = os.path.join(
-                    args.telemetry_out, f"{policy_name.lower()}-seed{seed}"
-                )
-                telemetry.write(
-                    run_dir,
-                    summary_extra={
-                        "policy": policy_name,
-                        "seed": seed,
-                        "violations": outcome.violations,
-                        "exemptions": outcome.exemptions,
-                    },
-                )
-            failures_seen += outcome.violations
-            rows.append(
-                [
-                    policy_name,
-                    seed,
-                    outcome.events_applied,
-                    outcome.checks,
-                    outcome.violations,
-                    outcome.exemptions,
-                    f"{outcome.survival_rate:.3f}",
-                    f"{outcome.schedule_signature:08x}",
-                    f"{outcome.trace_digest:08x}",
-                ]
-            )
-    print(
-        f"chaos soak: {args.seeds} seed(s) x {args.policies} on a "
-        f"{args.servers}-mesh, {args.horizon:g}s horizon"
-    )
-    print(
-        render_table(
-            [
-                "policy",
-                "seed",
-                "faults",
-                "checks",
-                "violations",
-                "exempt",
-                "survival",
-                "schedule sig",
-                "trace digest",
-            ],
-            rows,
-        )
-    )
-    if args.compare:
-        comparison = chaos_soak.compare_hardening(
-            args.seed, n=args.servers, tau=args.tau, horizon=args.horizon
-        )
-        print(
-            f"\nhardening payoff vs Byzantine {comparison.liar} + 30% loss: "
-            f"inconsistencies {comparison.baseline_inconsistencies} (plain) "
-            f"-> {comparison.hardened_inconsistencies} (hardened), "
-            f"worst honest E {comparison.baseline_worst_error:.3f} -> "
-            f"{comparison.hardened_worst_error:.3f}, "
-            f"{comparison.hardened_quarantines} quarantines"
-        )
-    if failures_seen:
-        print(f"\n{failures_seen} invariant violation(s)!", file=sys.stderr)
-        return 1
-    print("\nzero invariant violations for non-faulty servers.")
-    return 0
-
-
-def cmd_blackout_gauntlet(args: argparse.Namespace) -> int:
-    """The ``blackout-gauntlet`` subcommand: holdover vs free-running MM."""
-    if not args.seeds:
-        print("blackout-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    ok = blackout_gauntlet.main(
-        seeds=args.seeds,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-    )
-    return 0 if ok else 1
-
-
-def cmd_mitm_gauntlet(args: argparse.Namespace) -> int:
-    """The ``mitm-gauntlet`` subcommand: on-path adversary vs defenses."""
-    if not args.seeds:
-        print("mitm-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    ok = mitm_gauntlet.main(
-        seeds=args.seeds,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-    )
-    return 0 if ok else 1
-
-
-def cmd_live_gauntlet(args: argparse.Namespace) -> int:
-    """The ``live-gauntlet`` subcommand: real-socket cluster under chaos."""
-    if not args.seeds:
-        print("live-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    if args.duration <= 0:
-        print("live-gauntlet: --duration must be positive", file=sys.stderr)
-        return 2
-    ok = live_gauntlet.main(
-        seeds=args.seeds,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-        duration=args.duration,
-    )
-    return 0 if ok else 1
-
-
-def cmd_dynamic_gauntlet(args: argparse.Namespace) -> int:
-    """The ``dynamic-gauntlet`` subcommand: topology churn vs local skew."""
-    if not args.seeds:
-        print("dynamic-gauntlet: need at least one seed", file=sys.stderr)
-        return 2
-    if args.horizon <= 0:
-        print("dynamic-gauntlet: --horizon must be positive", file=sys.stderr)
-        return 2
-    ok = dynamic_gauntlet.main(
-        seeds=args.seeds,
-        horizon=args.horizon,
-        json_path=args.json,
-        telemetry_dir=args.telemetry_out,
-    )
-    return 0 if ok else 1
-
-
-def cmd_scale_gauntlet(args: argparse.Namespace) -> int:
-    """The ``scale-gauntlet`` subcommand: MM vs IM at 1k–50k servers."""
-    if not args.sizes or any(size < 1 for size in args.sizes):
-        print("scale-gauntlet: --sizes must be positive", file=sys.stderr)
-        return 2
-    if args.shards < 1 or args.processes < 0:
-        print(
-            "scale-gauntlet: --shards must be >= 1 and --processes >= 0",
-            file=sys.stderr,
-        )
-        return 2
-    ok = scale_gauntlet.main(
-        sizes=args.sizes,
-        seeds=args.seeds,
-        shards=args.shards,
-        processes=args.processes,
-        tau=args.tau,
-        cycles=args.cycles,
-        json_path=args.json,
-    )
-    return 0 if ok else 1
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     """The ``profile`` subcommand: cProfile a seeded figure-1 workload.
 
@@ -557,7 +304,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     optionally writes them as JSON.
     """
     import cProfile
-    import json as json_module
     import pstats
 
     if args.servers < 2 or args.horizon <= 0 or args.tau <= 0:
@@ -637,8 +383,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
             ],
         )
     )
-    if args.json:
-        report = {
+    harness.write_report(
+        args.json,
+        {
             "workload": {
                 "policy": args.policy.upper(),
                 "servers": args.servers,
@@ -649,11 +396,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
             },
             "total_profiled_seconds": round(total_time, 6),
             "hot_functions": rows,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        },
+    )
     return 0
 
 
@@ -798,131 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", help="experiment name, or 'list'")
     exp.set_defaults(func=cmd_experiment)
 
-    f3l = sub.add_parser(
-        "figure3-liars",
-        help="Byzantine liar gauntlet: plain IM vs FT-IM across topologies",
-    )
-    f3l.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    f3l.set_defaults(func=cmd_figure3_liars)
-
-    fcw = sub.add_parser(
-        "flash-crowd",
-        help="client overload vs the sync plane: plain vs admission-controlled",
-    )
-    fcw.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    fcw.add_argument("--seeds", type=int, nargs="+", default=[11, 12, 13],
-                     help="seeds to run (each runs both arms)")
-    fcw.set_defaults(func=cmd_flash_crowd)
-
-    cha = sub.add_parser("chaos", help="seeded chaos soak with invariant oracle")
-    cha.add_argument("--policies", nargs="+", default=["mm", "im"],
-                     choices=["mm", "im"])
-    cha.add_argument("--servers", type=int, default=5)
-    cha.add_argument("--tau", type=float, default=30.0)
-    cha.add_argument("--horizon", type=float, default=1800.0,
-                     help="simulated seconds per storm")
-    cha.add_argument("--seeds", type=int, default=3,
-                     help="number of seeded storms per policy")
-    cha.add_argument("--seed", type=int, default=0,
-                     help="seed for the --compare run")
-    cha.add_argument("--compare", action="store_true",
-                     help="also run the plain-vs-hardened comparison")
-    cha.add_argument("--telemetry-out", metavar="DIR",
-                     help="write each storm's Prometheus snapshot and "
-                          "summary into DIR/<policy>-seed<k>/ (the nightly "
-                          "soak artefacts)")
-    cha.set_defaults(func=cmd_chaos)
-
-    dyn = sub.add_parser(
-        "dynamic-gauntlet",
-        help="live topology mutation: MM/IM/gradient arms vs the "
-             "local-skew bound under edge churn and mobility",
-    )
-    dyn.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                     help="seeds to run (each runs every cell and arm)")
-    dyn.add_argument("--horizon", type=float, default=1800.0,
-                     help="simulated seconds per run")
-    dyn.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    dyn.add_argument("--telemetry-out", metavar="DIR",
-                     help="write each run's Prometheus snapshot and summary "
-                          "into DIR/<cell>-<arm>-seed<k>/ (the nightly "
-                          "gauntlet artefacts)")
-    dyn.set_defaults(func=cmd_dynamic_gauntlet)
-
-    blk = sub.add_parser(
-        "blackout-gauntlet",
-        help="reference blackout: disciplined holdover vs free-running MM "
-             "on true error, monotonicity and reintegration",
-    )
-    blk.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                     help="seeds to run (each runs every cell and arm)")
-    blk.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    blk.add_argument("--telemetry-out", metavar="DIR",
-                     help="write each run's Prometheus snapshot and summary "
-                          "into DIR/<cell>-<arm>-seed<k>/ (the nightly "
-                          "gauntlet artefacts)")
-    blk.set_defaults(func=cmd_blackout_gauntlet)
-
-    mitm = sub.add_parser(
-        "mitm-gauntlet",
-        help="on-path adversary: tamper/replay/delay-attack/spoof cells "
-             "vs plain, hardened, and authenticated arms under the "
-             "strict invariant oracle",
-    )
-    mitm.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                      help="seeds to run (each runs every cell and arm)")
-    mitm.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the JSON report here (CI artefact)")
-    mitm.add_argument("--telemetry-out", metavar="DIR",
-                      help="write each run's Prometheus snapshot and summary "
-                           "into DIR/<cell>-<arm>-seed<k>/ (the nightly "
-                           "gauntlet artefacts)")
-    mitm.set_defaults(func=cmd_mitm_gauntlet)
-
-    live = sub.add_parser(
-        "live-gauntlet",
-        help="real-socket runtime plane: a supervised 5-process loopback "
-             "UDP cluster behind a fault-injecting proxy (10%% loss, delay "
-             "spike, on-path tamper, SIGKILL crash/restart) — plain vs "
-             "hardened+authenticated arms under live MM-1 probes",
-    )
-    live.add_argument("--seeds", type=int, nargs="+", default=[0],
-                      help="seeds to run (each runs both arms sequentially)")
-    live.add_argument("--duration", type=float, default=12.0,
-                      help="measurement window per arm, seconds of wall time")
-    live.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the JSON report here (CI artefact)")
-    live.add_argument("--telemetry-out", metavar="DIR",
-                      help="write each node's Prometheus snapshot into "
-                           "DIR/<arm>/<node>.prom (the nightly soak artefact)")
-    live.set_defaults(func=cmd_live_gauntlet)
-
-    scl = sub.add_parser(
-        "scale-gauntlet",
-        help="vectorized kernel at scale: MM vs IM stratum hierarchies at "
-             "1k-50k servers, per-stratum Lemma 1 growth, Theorem 8 "
-             "comparison, neighbour-interval census",
-    )
-    scl.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000],
-                     help="stratum-hierarchy server counts to run")
-    scl.add_argument("--seeds", type=int, nargs="+", default=[0],
-                     help="seeds to run (each runs MM and IM per size)")
-    scl.add_argument("--shards", type=int, default=4,
-                     help="topology shards for the bulk kernel")
-    scl.add_argument("--processes", type=int, default=0,
-                     help="worker processes (0 = advance shards in-process)")
-    scl.add_argument("--tau", type=float, default=60.0,
-                     help="poll period, simulated seconds")
-    scl.add_argument("--cycles", type=int, default=8,
-                     help="poll cycles to simulate per run")
-    scl.add_argument("--json", default=None, metavar="PATH",
-                     help="also write the JSON report here (CI artefact)")
-    scl.set_defaults(func=cmd_scale_gauntlet)
-
     prf = sub.add_parser(
         "profile",
         help="cProfile a seeded figure-1 workload on the scalar engine and "
@@ -954,6 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seed", type=int, default=0)
     swp.set_defaults(func=cmd_sweep)
 
+    harness.add_subcommands(sub, REGISTRY)
     return parser
 
 

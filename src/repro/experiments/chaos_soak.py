@@ -18,9 +18,11 @@ liars.  This experiment runs seeded soak storms and reports:
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..analysis.plots import render_table
 
 from ..core.im import IMPolicy
 from ..core.mm import MMPolicy
@@ -33,7 +35,8 @@ from ..faults import (
 from ..network.topology import full_mesh
 from ..service.builder import ServerSpec, SimulatedService, build_service
 from ..service.hardening import HardeningConfig
-from ..simulation.trace import TraceRecorder
+from ..simulation.trace import trace_digest
+from .harness import POSITIVE, TELEMETRY_OUT, Experiment, Gauntlet, at_least
 from .scenarios import grid
 
 #: Fault rates (events/hour) used by the soak — deliberately far above the
@@ -45,22 +48,10 @@ SOAK_RATES = dict(
 )
 
 
-def trace_digest(trace: TraceRecorder) -> int:
-    """A stable fingerprint of an entire run's trace.
-
-    Two runs with the same seed must produce byte-identical traces; the
-    digest is a CRC over a canonical rendering of every row.
-    """
-    crc = 0
-    for row in trace:
-        text = "%r|%s|%s|%s" % (
-            row.time,
-            row.kind,
-            row.source,
-            ",".join(f"{k}={row.data[k]!r}" for k in sorted(row.data)),
-        )
-        crc = zlib.crc32(text.encode("utf-8"), crc)
-    return crc
+#: The soak's default mesh size, poll period and storm length.
+N_SERVERS = 5
+TAU = 30.0
+HORIZON = 1800.0
 
 
 @dataclass(frozen=True)
@@ -143,9 +134,9 @@ def run_soak(
     policy_name: str = "MM",
     seed: int = 0,
     *,
-    n: int = 5,
-    tau: float = 30.0,
-    horizon: float = 1800.0,
+    n: int = N_SERVERS,
+    tau: float = TAU,
+    horizon: float = HORIZON,
     monitor_period: float = 5.0,
     telemetry=None,
 ) -> SoakOutcome:
@@ -188,20 +179,6 @@ def run_soak(
         survival_rate=(judged - stats.correctness_violations) / judged,
         final_max_error=snap.max_error,
     )
-
-
-def run_matrix(
-    *,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    policies: Sequence[str] = ("MM", "IM"),
-    horizon: float = 1800.0,
-) -> List[SoakOutcome]:
-    """Soak every (policy, seed) cell."""
-    return [
-        run_soak(policy_name, seed, horizon=horizon)
-        for policy_name in policies
-        for seed in seeds
-    ]
 
 
 # ------------------------------------------------------- hardening payoff
@@ -315,9 +292,9 @@ def _adversarial_run(
 def compare_hardening(
     seed: int = 0,
     *,
-    n: int = 5,
-    tau: float = 30.0,
-    horizon: float = 1800.0,
+    n: int = N_SERVERS,
+    tau: float = TAU,
+    horizon: float = HORIZON,
     loss: float = 0.3,
     samples: int = 60,
 ) -> HardeningComparison:
@@ -367,57 +344,43 @@ def compare_hardening(
     )
 
 
-def main() -> None:
-    """Print the soak matrix and the hardening comparison."""
-    from ..analysis.plots import render_table
+# ------------------------------------------------------------- reporting
 
-    outcomes = run_matrix()
-    rows = [
-        [
-            o.policy,
-            o.seed,
-            o.events_applied,
-            o.checks,
-            o.violations,
-            o.exemptions,
-            f"{o.survival_rate:.3f}",
-            f"{o.final_max_error:.3f}",
-            f"{o.schedule_signature:08x}",
-            f"{o.trace_digest:08x}",
-        ]
+
+def evaluate(outcomes: Sequence[SoakOutcome]) -> List[str]:
+    """The acceptance criterion, as a list of failures (empty = pass)."""
+    return [
+        f"{o.policy} seed {o.seed}: {o.violations} invariant violation(s) "
+        f"for non-faulty servers"
         for o in outcomes
+        if o.violations
     ]
-    print("Chaos soak — seeded fault storms against a hardened 5-mesh")
-    print(
-        render_table(
-            [
-                "policy",
-                "seed",
-                "faults",
-                "checks",
-                "violations",
-                "exempt",
-                "survival",
-                "final max E",
-                "schedule sig",
-                "trace digest",
-            ],
-            rows,
-        )
+
+
+def _storm(
+    cell: None,
+    arm: str,
+    seed: int,
+    *,
+    telemetry=None,
+    servers: int = N_SERVERS,
+    tau: float = TAU,
+    horizon: float = HORIZON,
+) -> SoakOutcome:
+    return run_soak(
+        arm.upper(), seed, n=servers, tau=tau, horizon=horizon, telemetry=telemetry
     )
-    comparison = compare_hardening()
+
+
+def _print_hardening(seed: int = 0, **kwargs) -> None:
+    comparison = compare_hardening(seed, **kwargs)
     print(
         "\nHardening payoff (30% loss + flapping links + Byzantine "
         f"{comparison.liar}, {comparison.horizon:.0f} s):"
     )
     print(
         render_table(
-            [
-                "variant",
-                "inconsistencies",
-                "worst honest E",
-                "honest correct",
-            ],
+            ["variant", "inconsistencies", "worst honest E", "honest correct"],
             [
                 [
                     "plain",
@@ -437,12 +400,112 @@ def main() -> None:
     print(
         f"\nhardened caught {comparison.hardened_invalid_replies} invalid "
         f"replies, quarantined {comparison.hardened_quarantines} times, "
-        f"retried {comparison.hardened_retries} polls.\n"
+        f"retried {comparison.hardened_retries} polls."
+    )
+
+
+def _soak_epilogue() -> None:
+    _print_hardening()
+    print(
         "Expected shape: every soak row shows zero violations, and the "
         "plain baseline's inconsistency count diverges with the horizon "
         "while the hardened run rejects and quarantines the liar."
     )
 
 
-if __name__ == "__main__":
-    main()
+#: ``repro experiment chaos-soak``: the default policies × seeds matrix
+#: (no cells) plus the hardening comparison.
+SOAK = Gauntlet(
+    cells=(None,),
+    arms=("mm", "im"),
+    run=_storm,
+    evaluate=evaluate,
+    header=lambda seeds: (
+        f"Chaos soak — seeded fault storms against a hardened {N_SERVERS}-mesh"
+    ),
+    table=(
+        ("policy", lambda o: o.policy),
+        ("seed", lambda o: o.seed),
+        ("faults", lambda o: o.events_applied),
+        ("checks", lambda o: o.checks),
+        ("violations", lambda o: o.violations),
+        ("exempt", lambda o: o.exemptions),
+        ("survival", lambda o: f"{o.survival_rate:.3f}"),
+        ("final max E", lambda o: f"{o.final_max_error:.3f}"),
+        ("schedule sig", lambda o: f"{o.schedule_signature:08x}"),
+        ("trace digest", lambda o: f"{o.trace_digest:08x}"),
+    ),
+    success=None,
+    bundle_fields=("policy", "seed", "violations", "exemptions"),
+    telemetry={"sample_period": TAU},
+    epilogue=_soak_epilogue,
+)
+
+
+def chaos(
+    *,
+    policies: Sequence[str],
+    servers: int,
+    tau: float,
+    horizon: float,
+    seeds: int,
+    seed: int,
+    compare: bool,
+    telemetry_dir: Optional[str],
+) -> bool:
+    """``repro chaos``: the same soak with its knobs exposed.
+
+    ``seeds`` is a *count*: storms per policy, seeds ``0..seeds-1``.
+    """
+    spec = replace(
+        SOAK,
+        arms=tuple(policies),
+        header=lambda seeds, **_: (
+            f"chaos soak: {len(seeds)} seed(s) x {list(policies)} on a "
+            f"{servers}-mesh, {horizon:g}s horizon"
+        ),
+        # The table the nightly logs have always had: no final-error column.
+        table=[column for column in SOAK.table if column[0] != "final max E"],
+        success="zero invariant violations for non-faulty servers.",
+        telemetry={"sample_period": tau},
+        epilogue=(
+            partial(_print_hardening, seed, n=servers, tau=tau, horizon=horizon)
+            if compare
+            else None
+        ),
+    )
+    return spec.main(
+        seeds=range(seeds),
+        telemetry_dir=telemetry_dir,
+        servers=servers,
+        tau=tau,
+        horizon=horizon,
+    )
+
+
+EXPERIMENTS = (
+    Experiment(
+        "chaos-soak",
+        "seeded fault storms (MM and IM x 5 seeds) under the invariant "
+        "oracle, plus the plain-vs-hardened comparison",
+        partial(SOAK.main, seeds=range(5)),
+    ),
+    Experiment(
+        "chaos",
+        "seeded chaos soak with invariant oracle",
+        chaos,
+        {
+            "--policies": dict(nargs="+", default=list(SOAK.arms), choices=SOAK.arms),
+            "--servers": dict(type=int, default=N_SERVERS, requires=at_least(3)),
+            "--tau": dict(type=float, default=TAU, requires=POSITIVE),
+            "--horizon": dict(type=float, default=HORIZON, requires=POSITIVE,
+                              help="simulated seconds per storm"),
+            "--seeds": dict(type=int, default=3, requires=at_least(1),
+                            help="number of seeded storms per policy"),
+            "--seed": dict(type=int, default=0, help="seed for the --compare run"),
+            "--compare": dict(action="store_true",
+                              help="also run the plain-vs-hardened comparison"),
+            **TELEMETRY_OUT,
+        },
+    ),
+)

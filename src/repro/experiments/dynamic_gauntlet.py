@@ -34,9 +34,7 @@ resynchronizes, hopeless for one that free-runs.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.im import IMPolicy
@@ -49,14 +47,15 @@ from ..dynamic import (
     MobilityProcess,
     WaypointMobility,
 )
-from ..faults import InvariantMonitor
 from ..network.delay import UniformDelay
 from ..network.topology import ring
 from ..service.builder import ServerSpec, SimulatedService, build_service
-from .chaos_soak import trace_digest
+from ..simulation.trace import trace_digest
+from . import harness
 
 #: The three arms: the paper's two rules plus the gradient selection.
-ARMS = ("MM", "IM", "gradient")
+POLICIES = {"MM": MMPolicy, "IM": IMPolicy, "gradient": GradientPolicy}
+ARMS = tuple(POLICIES)
 
 #: Claimed maximum drift rate for every server (actual skews span ±0.7δ).
 DELTA = 1e-4
@@ -64,6 +63,11 @@ DELTA = 1e-4
 #: One-way delay bound; ξ (the paper's round-trip uncertainty) is twice it.
 ONE_WAY = 0.01
 XI = 2.0 * ONE_WAY
+
+#: Ring size, poll period and default run length of the matrix.
+N_SERVERS = 8
+TAU = 30.0
+HORIZON = 1800.0
 
 
 def local_skew_bound(tau: float) -> float:
@@ -144,16 +148,6 @@ class GauntletOutcome:
     final_max_error: float
 
 
-def _policy(arm: str):
-    if arm == "MM":
-        return MMPolicy()
-    if arm == "IM":
-        return IMPolicy()
-    if arm == "gradient":
-        return GradientPolicy()
-    raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
-
-
 def _build(arm: str, seed: int, *, n: int, tau: float, telemetry=None) -> SimulatedService:
     # A sparse ring, deliberately: local skew is a statement about
     # *edges*, and a ring has no shortcuts for free.  No reference
@@ -172,7 +166,7 @@ def _build(arm: str, seed: int, *, n: int, tau: float, telemetry=None) -> Simula
     return build_service(
         graph,
         specs,
-        policy=_policy(arm),
+        policy=POLICIES[arm](),
         tau=tau,
         seed=seed,
         lan_delay=UniformDelay(ONE_WAY),
@@ -182,33 +176,30 @@ def _build(arm: str, seed: int, *, n: int, tau: float, telemetry=None) -> Simula
 
 
 def run_gauntlet(
+    cell: GauntletCell,
     arm: str = "gradient",
     seed: int = 0,
     *,
-    churn_interval: float = 120.0,
-    mobility: bool = True,
-    cell_label: Optional[str] = None,
-    n: int = 8,
-    tau: float = 30.0,
-    horizon: float = 1800.0,
+    n: int = N_SERVERS,
+    tau: float = TAU,
+    horizon: float = HORIZON,
     monitor_period: float = 5.0,
     telemetry=None,
 ) -> GauntletOutcome:
     """One arm under one dynamic-topology configuration.
 
     Args:
+        cell: The edge-churn rate and whether waypoint mobility
+            (proximity rewiring) also runs.
         arm: "MM", "IM", or "gradient".
         seed: Root seed; drives the service RNG registry, from which the
             churn and mobility streams are derived — one seed fixes the
             whole run.
-        churn_interval: Mean seconds between edge-removal attempts.
-        mobility: Attach waypoint mobility (proximity rewiring).
-        cell_label: Label recorded on the outcome (defaults to a
-            synthesized one).
         telemetry: Optional :class:`~repro.telemetry.ServiceTelemetry`;
             its registry also receives the invariant-oracle counters and
             the live ``repro_edge_local_skew_seconds`` series.
     """
+    harness.check_arm(arm, ARMS)
     service = _build(arm, seed + 100, n=n, tau=tau, telemetry=telemetry)
     bound = local_skew_bound(tau)
     dynamic = DynamicTopology.for_service(service)
@@ -216,11 +207,11 @@ def run_gauntlet(
         service.engine,
         dynamic,
         service.rng.stream("dynamic/edge-churn"),
-        interval=churn_interval,
-        mean_downtime=churn_interval * 0.75,
+        interval=cell.churn_interval,
+        mean_downtime=cell.churn_interval * 0.75,
     )
     mob: Optional[MobilityProcess] = None
-    if mobility:
+    if cell.mobility:
         model = WaypointMobility(
             sorted(service.servers), service.rng.stream("dynamic/mobility")
         )
@@ -228,33 +219,20 @@ def run_gauntlet(
     skew = LocalSkewMonitor(
         service.engine, service, bound=bound, period=monitor_period
     )
-    registry = None
-    if telemetry is not None and telemetry.registry.enabled:
-        registry = telemetry.registry
-    # schedule=None: no fault windows, so the oracle holds every server
-    # to the invariants at all times — churn earns no exemptions.
-    oracle = InvariantMonitor(
-        service.engine,
-        service.servers,
-        service.trace,
-        None,
-        period=monitor_period,
-        registry=registry,
-    )
     churn.start()
     if mob is not None:
         mob.start()
     skew.start()
-    oracle.start()
+    # No fault schedule at all: churn earns no exemption windows.
+    _, oracle = harness.attach_strict(service, period=monitor_period)
     service.run_until(horizon)
     snap = service.snapshot()
     return GauntletOutcome(
         arm=arm,
-        cell=cell_label
-        or f"churn{churn_interval:g}{'+mob' if mobility else ''}",
+        cell=cell.label,
         seed=seed,
-        churn_interval=churn_interval,
-        mobility=mobility,
+        churn_interval=cell.churn_interval,
+        mobility=cell.mobility,
         horizon=horizon,
         bound=bound,
         trace_digest=trace_digest(service.trace),
@@ -270,33 +248,6 @@ def run_gauntlet(
         exemptions=oracle.stats.exemptions,
         final_max_error=snap.max_error,
     )
-
-
-def run_matrix(
-    *,
-    arms: Sequence[str] = ARMS,
-    cells: Sequence[GauntletCell] = CELLS,
-    seeds: Sequence[int] = (0, 1, 2),
-    n: int = 8,
-    tau: float = 30.0,
-    horizon: float = 1800.0,
-) -> List[GauntletOutcome]:
-    """Every (cell, arm, seed) run of the gauntlet."""
-    return [
-        run_gauntlet(
-            arm,
-            seed,
-            churn_interval=cell.churn_interval,
-            mobility=cell.mobility,
-            cell_label=cell.label,
-            n=n,
-            tau=tau,
-            horizon=horizon,
-        )
-        for cell in cells
-        for arm in arms
-        for seed in seeds
-    ]
 
 
 def evaluate(outcomes: Sequence[GauntletOutcome]) -> List[str]:
@@ -333,123 +284,62 @@ def evaluate(outcomes: Sequence[GauntletOutcome]) -> List[str]:
     return problems
 
 
-def main(
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    horizon: float = 1800.0,
-    tau: float = 30.0,
-    json_path: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
-) -> bool:
-    """Run the matrix, print the report, return overall pass/fail."""
-    from ..analysis.plots import render_table
+#: The stated bound at the matrix's poll period.
+BOUND = local_skew_bound(TAU)
 
-    bound = local_skew_bound(tau)
-    outcomes: List[GauntletOutcome] = []
-    for cell in CELLS:
-        for arm in ARMS:
-            for seed in seeds:
-                telemetry = None
-                if telemetry_dir:
-                    from ..telemetry import ServiceTelemetry
-
-                    telemetry = ServiceTelemetry(
-                        spans=False,
-                        sample_period=tau,
-                        local_skew_bound=bound,
-                    )
-                outcome = run_gauntlet(
-                    arm,
-                    seed,
-                    churn_interval=cell.churn_interval,
-                    mobility=cell.mobility,
-                    cell_label=cell.label,
-                    tau=tau,
-                    horizon=horizon,
-                    telemetry=telemetry,
-                )
-                outcomes.append(outcome)
-                if telemetry is not None:
-                    run_dir = os.path.join(
-                        telemetry_dir, f"{cell.label}-{arm}-seed{seed}"
-                    )
-                    telemetry.write(
-                        run_dir,
-                        summary_extra={
-                            "arm": arm,
-                            "cell": cell.label,
-                            "seed": seed,
-                            "bound": bound,
-                            "skew_breaches": outcome.skew_breaches,
-                            "max_local_skew": outcome.max_local_skew,
-                            "violations": outcome.violations,
-                        },
-                    )
-    print(
+SPEC = harness.Gauntlet(
+    cells=CELLS,
+    arms=ARMS,
+    run=run_gauntlet,
+    evaluate=evaluate,
+    header=lambda seeds, horizon: (
         f"dynamic gauntlet: {len(CELLS)} cell(s) x {ARMS} x "
-        f"{len(seeds)} seed(s), ring(8), τ={tau:g}s, {horizon:g}s horizon, "
-        f"local-skew bound {bound * 1e3:.1f} ms"
-    )
-    rows = [
-        [
-            o.cell,
-            o.arm,
-            o.seed,
-            f"{o.edges_removed}/{o.edges_restored}",
-            o.rewires,
-            o.skew_samples,
-            o.skew_breaches,
-            f"{o.max_local_skew * 1e3:.1f}",
-            o.violations,
-            o.exemptions,
-            f"{o.trace_digest:08x}",
-        ]
-        for o in outcomes
-    ]
-    print(
-        render_table(
-            [
-                "cell",
-                "arm",
-                "seed",
-                "edges -/+",
-                "rewires",
-                "samples",
-                "breaches",
-                "max skew ms",
-                "viol",
-                "exempt",
-                "trace digest",
-            ],
-            rows,
-        )
-    )
-    problems = evaluate(outcomes)
-    if json_path:
-        report = {
-            "bound": bound,
-            "tau": tau,
-            "horizon": horizon,
-            "seeds": list(seeds),
-            "ok": not problems,
-            "problems": problems,
-            "outcomes": [asdict(o) for o in outcomes],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nwrote JSON report to {json_path}")
-    if problems:
-        print()
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return False
-    print(
-        "\ngradient arm held the local-skew bound in every cell and seed "
+        f"{len(seeds)} seed(s), ring({N_SERVERS}), τ={TAU:g}s, "
+        f"{horizon:g}s horizon, local-skew bound {BOUND * 1e3:.1f} ms"
+    ),
+    table=(
+        ("cell", lambda o: o.cell),
+        ("arm", lambda o: o.arm),
+        ("seed", lambda o: o.seed),
+        ("edges -/+", lambda o: f"{o.edges_removed}/{o.edges_restored}"),
+        ("rewires", lambda o: o.rewires),
+        ("samples", lambda o: o.skew_samples),
+        ("breaches", lambda o: o.skew_breaches),
+        ("max skew ms", lambda o: f"{o.max_local_skew * 1e3:.1f}"),
+        ("viol", lambda o: o.violations),
+        ("exempt", lambda o: o.exemptions),
+        ("trace digest", lambda o: f"{o.trace_digest:08x}"),
+    ),
+    success=(
+        "gradient arm held the local-skew bound in every cell and seed "
         "(zero breaches, zero invariant violations); every cell saw a "
         "plain arm breach it."
-    )
-    return True
+    ),
+    constants={"bound": BOUND, "tau": TAU},
+    bundle_fields=(
+        "arm",
+        "cell",
+        "seed",
+        "bound",
+        "skew_breaches",
+        "max_local_skew",
+        "violations",
+    ),
+    telemetry={"sample_period": TAU, "local_skew_bound": BOUND},
+)
 
+#: Every (cell, arm, seed) run of the gauntlet.
+run_matrix = SPEC.run_matrix
 
-if __name__ == "__main__":
-    raise SystemExit(0 if main() else 1)
+EXPERIMENTS = (
+    SPEC.experiment(
+        "dynamic-gauntlet",
+        "live topology mutation: MM/IM/gradient arms vs the "
+        "local-skew bound under edge churn and mobility",
+        seeds=(0, 1, 2),
+        flags={
+            "--horizon": dict(type=float, default=HORIZON, requires=harness.POSITIVE,
+                              help="simulated seconds per run"),
+        },
+    ),
+)

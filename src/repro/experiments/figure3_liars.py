@@ -40,8 +40,7 @@ and the nightly liar soak run.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -56,6 +55,7 @@ from ..faults.monitor import InvariantMonitor
 from ..network.delay import UniformDelay
 from ..recovery import SelfStabilizingRecovery
 from ..service.builder import ServerSpec, build_service
+from . import harness
 from .scenarios import grid
 
 #: Claimed bound for every server (~0.9 s/day).
@@ -439,45 +439,19 @@ def run_matrix(
 def report_dict(matrix: GauntletMatrix) -> dict:
     """A JSON-ready artefact of the whole gauntlet (for CI uploads)."""
 
-    def arm(result: ArmResult) -> dict:
-        payload = {
-            "byzantine_tolerant": result.byzantine_tolerant,
-            "total_resets": result.total_resets,
-            "poisoned_resets": result.poisoned_resets,
-            "recoveries": result.recoveries,
-            "oracle_bad_samples": result.oracle_bad_samples,
-            "correctness_violations": result.correctness_violations,
-            "consistency_violations": result.consistency_violations,
-        }
-        if result.byzantine_tolerant:
-            payload.update(
-                {
-                    "tolerant_rounds": result.tolerant_rounds,
-                    "plain_rounds": result.plain_rounds,
-                    "budget_raises": result.budget_raises,
-                    "validation_rejections": result.validation_rejections,
-                    "all_liars_demoted": result.all_liars_demoted,
-                    "demotions": [
-                        {
-                            "server": record.server,
-                            "liar": record.liar,
-                            "latency": record.latency,
-                        }
-                        for record in result.demotions
-                    ],
-                }
-            )
-        return payload
-
     def cell(row: GauntletCell) -> dict:
-        return {
-            "topology": row.topology,
-            "seed": row.seed,
-            "plain_failed": row.plain_failed,
-            "ft_held": row.ft_held,
-            "plain": arm(row.plain),
-            "ft": arm(row.ft),
-        }
+        payload = asdict(row)
+        # The plain arm has no FT machinery to report on.
+        for name in (
+            "tolerant_rounds",
+            "plain_rounds",
+            "budget_raises",
+            "validation_rejections",
+            "all_liars_demoted",
+            "demotions",
+        ):
+            del payload["plain"][name]
+        return payload
 
     return {
         "accepted": matrix.accepted,
@@ -539,18 +513,15 @@ def main(json_path: Optional[str] = None) -> bool:
     _print_cell(matrix.ring)
     _print_cell(matrix.random)
     print(f"\n  accepted (all K5 cells): {matrix.accepted}")
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report_dict(matrix), handle, indent=2)
-        print(f"\nreport written to {json_path}")
+    harness.write_report(json_path, report_dict(matrix))
     return matrix.accepted
 
 
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--json", default=None, help="also write the report as JSON here"
-    )
-    raise SystemExit(0 if main(json_path=parser.parse_args().json) else 1)
+EXPERIMENTS = (
+    harness.Experiment(
+        "figure3-liars",
+        "Byzantine liar gauntlet: plain IM vs FT-IM across topologies",
+        main,
+        harness.JSON,
+    ),
+)

@@ -21,7 +21,6 @@ from ..analysis.consistency_graph import (
     ConsistencyGroup,
     consistency_groups,
     correct_groups,
-    is_partitioned,
 )
 from ..analysis.plots import render_intervals
 from ..core.intervals import TimeInterval, intersect_all

@@ -27,8 +27,7 @@ falls back to the cold-start bootstrap instead of trusting bad state.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional
 
 import networkx as nx
@@ -49,6 +48,7 @@ from ..faults import (
 from ..network.delay import UniformDelay
 from ..recovery import SelfStabilizingRecovery
 from ..service.builder import ServerSpec, build_service
+from . import harness
 from .scenarios import grid
 
 #: Claimed bound for every server (~0.9 s/day).
@@ -407,44 +407,30 @@ def report_dict(
     """A JSON-ready artefact of the whole experiment (for CI uploads)."""
 
     def arm(result: RepairResult) -> dict:
-        return {
-            "self_stabilizing": result.self_stabilizing,
-            "groups_good": [list(g.members) for g in result.groups_good],
-            "merged": result.merged,
-            "total_recoveries": result.total_recoveries,
-            "poisoned_recoveries": result.poisoned_recoveries,
-            "correctness_violations": result.correctness_violations,
-            "consistency_violations": result.consistency_violations,
-            "g1_final_offset": result.g1_final_offset,
-            "core_still_correct": result.core_still_correct,
-            "census_detected_split": result.census_detected_split,
-            "census_detection_time": result.census_detection_time,
-            "census_clean_at_end": result.census_clean_at_end,
-            "final_epochs": result.final_epochs,
+        payload = {
+            spec.name: getattr(result, spec.name)
+            for spec in fields(result)
+            if spec.name != "groups_all"
         }
+        payload["groups_good"] = [list(g.members) for g in result.groups_good]
+        return payload
 
     return {
         "figure4_reproduced": comparison.figure4_reproduced,
         "repaired": comparison.repaired,
         "plain": arm(comparison.plain),
         "stabilized": arm(comparison.stabilized),
-        "crash_soak": [
-            {
-                "seed": row.seed,
-                "restarts": row.restarts,
-                "warm_restarts": row.warm_restarts,
-                "cold_restarts": row.cold_restarts,
-                "warm_all_correct": row.warm_all_correct,
-                "all_correct": row.all_correct,
-                "correctness_violations": row.correctness_violations,
-            }
-            for row in soak
-        ],
+        "crash_soak": [asdict(row) for row in soak],
     }
 
 
-def main(json_path: Optional[str] = None) -> None:
-    """Print the repair comparison and the crash soak."""
+def main(json_path: Optional[str] = None) -> bool:
+    """Print the repair comparison and the crash soak; return the verdict.
+
+    The claims: the plain rule reproduces Figure 4, the self-stabilizing
+    layer repairs it, and every crash-soak seed revives its warm restarts
+    correct with zero monitor correctness violations.
+    """
     comparison = run_comparison()
     print("Figure 4 repair — plain third-server rule vs self-stabilizing layer")
     for result in (comparison.plain, comparison.stabilized):
@@ -487,17 +473,29 @@ def main(json_path: Optional[str] = None) -> None:
             f"monitor correctness violations: {row.correctness_violations}"
         )
 
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report_dict(comparison, soak), handle, indent=2)
-        print(f"\nreport written to {json_path}")
+    harness.write_report(json_path, report_dict(comparison, soak))
+    problems = []
+    if not comparison.figure4_reproduced:
+        problems.append("the plain third-server rule did not reproduce Figure 4")
+    if not comparison.repaired:
+        problems.append("the self-stabilizing layer did not repair the split")
+    for row in soak:
+        if not row.warm_all_correct:
+            problems.append(f"seed {row.seed}: a warm restart revived incorrect")
+        if row.correctness_violations:
+            problems.append(
+                f"seed {row.seed}: {row.correctness_violations} monitor "
+                f"correctness violation(s) outside fault windows"
+            )
+    return harness.verdict(problems)
 
 
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--json", default=None, help="also write the report as JSON here"
-    )
-    main(json_path=parser.parse_args().json)
+EXPERIMENTS = (
+    harness.Experiment(
+        "figure4-repair",
+        "Figure 4 repaired: plain third-server rule vs the self-stabilizing "
+        "layer, plus the crash-restart soak",
+        main,
+        harness.JSON,
+    ),
+)

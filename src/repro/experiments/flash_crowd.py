@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..core.im import IMPolicy
-from ..faults.monitor import InvariantMonitor
 from ..load import (
     BackoffPolicy,
     CapacityConfig,
@@ -58,6 +57,7 @@ from ..load import (
 )
 from ..network.delay import UniformDelay
 from ..service.builder import ServerSpec, build_service
+from . import harness
 from .scenarios import grid
 
 #: Claimed drift bound for every server (makes unsynced E growth visible
@@ -85,6 +85,9 @@ HORIZON = 120.0
 PROFILE = FlashCrowdProfile(
     base_rate=15.0, crowd_rate=350.0, crowd_start=30.0, crowd_end=70.0, ramp=2.0
 )
+
+#: The seeds the acceptance comparison runs over.
+SEEDS = (11, 12, 13)
 
 #: Monitor cadence and the sync-plane progress window (3τ).
 MONITOR_PERIOD = 5.0
@@ -212,15 +215,9 @@ def run_arm(
         capacity=_capacity(controlled),
         load_policy=_load_policy(controlled),
     )
-    monitor = InvariantMonitor(
-        service.engine,
-        service.servers,
-        service.trace,
-        None,
-        period=MONITOR_PERIOD,
-        sync_window=SYNC_WINDOW,
+    _, monitor = harness.attach_strict(
+        service, period=MONITOR_PERIOD, sync_window=SYNC_WINDOW
     )
-    monitor.start()
 
     generators = []
     clients = []
@@ -457,7 +454,7 @@ def report_dict(comparisons: Sequence[Comparison]) -> Dict[str, object]:
 def main(
     json_path: Optional[str] = None,
     *,
-    seeds: Sequence[int] = (11, 12, 13),
+    seeds: Sequence[int] = SEEDS,
     horizon: float = HORIZON,
 ) -> bool:
     """Run the comparison across seeds; print a table; True iff all pass."""
@@ -493,19 +490,15 @@ def main(
         )
     passed = all(c.passed for c in comparisons)
     print(f"flash_crowd: {'PASS' if passed else 'FAIL'} across seeds {list(seeds)}")
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump(report_dict(comparisons), handle, indent=2)
-        print(f"flash_crowd: report written to {json_path}")
+    harness.write_report(json_path, report_dict(comparisons))
     return passed
 
 
-if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", default=None, help="write the report here")
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=[11, 12, 13], help="seeds to run"
-    )
-    raise SystemExit(0 if main(json_path=parser.parse_args().json) else 1)
+EXPERIMENTS = (
+    harness.Experiment(
+        "flash-crowd",
+        "client overload vs the sync plane: plain vs admission-controlled",
+        main,
+        {**harness.JSON, **harness.seeds_flag(*SEEDS)},
+    ),
+)

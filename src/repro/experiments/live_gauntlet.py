@@ -37,7 +37,6 @@ with live ξ (max observed round trip) in the report.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import socket
 import time
@@ -46,10 +45,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..faults.schedule import DelaySpike, MessageTamper
 from ..runtime.proxy import ChaosProxy
 from ..runtime.supervisor import ClusterSupervisor, NodeSpec, RestartPolicy
+from . import harness
 
-__all__ = ["main", "run"]
+__all__ = ["EXPERIMENTS", "main", "run"]
 
 TAU = 0.75
+#: Measurement window per arm, seconds of wall time.
+DURATION = 12.0
 ONE_WAY_BOUND = 0.25  # declared; ξ = 0.5 s
 LOSS = 0.10
 #: Negative and larger than the probe spacing: adoption is a visible
@@ -265,7 +267,7 @@ async def _run_arm(
 def run(
     *,
     seed: int = 0,
-    duration: float = 12.0,
+    duration: float = DURATION,
     loss: float = LOSS,
     with_faults: bool = True,
     arms: Sequence[str] = ("plain", "hardened"),
@@ -308,10 +310,10 @@ def run(
 
 def main(
     *,
-    seeds: Sequence[int] = (0,),
+    seeds: Sequence[int],
+    duration: float,
     json_path: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
-    duration: float = 12.0,
 ) -> bool:
     """Run the live gauntlet for each seed; print and persist the report."""
     reports = []
@@ -331,12 +333,29 @@ def main(
                 f"rtt_n={res['rtt_count']} restarts={res['crash_restarts']}"
             )
     print(f"live gauntlet: {'PASS' if all_ok else 'FAIL'}")
-    if json_path:
-        payload = reports[0] if len(reports) == 1 else {
-            "experiment": "live_gauntlet",
-            "reports": reports,
-            "ok": all_ok,
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    harness.write_report(
+        json_path,
+        reports[0]
+        if len(reports) == 1
+        else {"experiment": "live_gauntlet", "reports": reports, "ok": all_ok},
+    )
     return all_ok
+
+
+EXPERIMENTS = (
+    harness.Experiment(
+        "live-gauntlet",
+        "real-socket runtime plane: a supervised 5-process loopback "
+        "UDP cluster behind a fault-injecting proxy (10%% loss, delay "
+        "spike, on-path tamper, SIGKILL crash/restart) — plain vs "
+        "hardened+authenticated arms under live MM-1 probes",
+        main,
+        {
+            **harness.seeds_flag(0),
+            "--duration": dict(type=float, default=DURATION, requires=harness.POSITIVE,
+                               help="measurement window per arm, seconds of wall time"),
+            **harness.JSON,
+            **harness.TELEMETRY_OUT,
+        },
+    ),
+)

@@ -49,16 +49,13 @@ Acceptance (:func:`evaluate`):
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from ..core.mm import MMPolicy
 from ..faults import (
     DelayAttack,
     FaultSchedule,
-    InvariantMonitor,
     MessageReplay,
     MessageTamper,
     SpoofedReply,
@@ -69,7 +66,8 @@ from ..network.topology import full_mesh
 from ..security import Keyring, SecurityConfig
 from ..service.builder import ServerSpec, SimulatedService, build_service
 from ..service.hardening import HardeningConfig
-from .chaos_soak import trace_digest
+from ..simulation.trace import trace_digest
+from . import harness
 
 #: The three defense postures.
 ARMS = ("plain", "hardened", "authenticated")
@@ -323,41 +321,15 @@ def run_gauntlet(
             its registry also receives the security counters and the
             oracle counters.
     """
-    if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r}; expected one of {ARMS}")
+    harness.check_arm(arm, ARMS)
     service = _build(arm, seed, telemetry=telemetry)
-    schedule = _schedule(cell)
-    injector = FaultInjector(
-        service.engine,
-        service.network,
-        service.servers,
-        schedule,
-        rng=service.rng.stream("faults/injector"),
-        trace=service.trace,
+    injector, oracle = harness.attach_strict(
+        service, _schedule(cell), period=MONITOR_PERIOD
     )
     accepted_tainted = _arm_taint_oracle(service, injector)
-    registry = None
-    if telemetry is not None and telemetry.registry.enabled:
-        registry = telemetry.registry
-    # schedule=None: adversary faults earn no invariant exemptions — a
-    # poisoned victim is a violation even while the attack runs.
-    oracle = InvariantMonitor(
-        service.engine,
-        service.servers,
-        service.trace,
-        None,
-        period=MONITOR_PERIOD,
-        registry=registry,
-    )
-    injector.start()
-    oracle.start()
 
     peak = 0.0
-    t = 0.0
-    while t < HORIZON:
-        t = min(t + SAMPLE_STEP, HORIZON)
-        service.run_until(t)
-        snap = service.snapshot()
+    for t, snap in harness.samples(service, HORIZON, SAMPLE_STEP):
         if t <= ATTACK_AT + ATTACK_DURATION:
             peak = max(peak, max(abs(o) for o in snap.offsets.values()))
     snap = service.snapshot()
@@ -392,21 +364,6 @@ def run_gauntlet(
         delay_detections=delay_detections,
         quarantines=quarantines,
     )
-
-
-def run_matrix(
-    *,
-    cells: Sequence[GauntletCell] = CELLS,
-    arms: Sequence[str] = ARMS,
-    seeds: Sequence[int] = (0, 1, 2),
-) -> List[GauntletOutcome]:
-    """Every (cell, arm, seed) run of the gauntlet."""
-    return [
-        run_gauntlet(cell, arm, seed)
-        for cell in cells
-        for arm in arms
-        for seed in seeds
-    ]
 
 
 #: Cells in which the plain arm must demonstrably be poisoned.
@@ -452,123 +409,61 @@ def evaluate(outcomes: Sequence[GauntletOutcome]) -> List[str]:
     return problems
 
 
-def main(
-    *,
-    seeds: Sequence[int] = (0, 1, 2),
-    json_path: Optional[str] = None,
-    telemetry_dir: Optional[str] = None,
-) -> bool:
-    """Run the matrix, print the report, return overall pass/fail."""
-    from ..analysis.plots import render_table
-
-    outcomes: List[GauntletOutcome] = []
-    for cell in CELLS:
-        for arm in ARMS:
-            for seed in seeds:
-                telemetry = None
-                if telemetry_dir:
-                    from ..telemetry import ServiceTelemetry
-
-                    telemetry = ServiceTelemetry(
-                        spans=False, sample_period=TAU
-                    )
-                outcome = run_gauntlet(cell, arm, seed, telemetry=telemetry)
-                outcomes.append(outcome)
-                if telemetry is not None:
-                    run_dir = os.path.join(
-                        telemetry_dir, f"{cell.label}-{arm}-seed{seed}"
-                    )
-                    telemetry.write(
-                        run_dir,
-                        summary_extra={
-                            "cell": cell.label,
-                            "arm": arm,
-                            "seed": seed,
-                            "violations": outcome.violations,
-                            "accepted_tainted": outcome.accepted_tainted,
-                            "peak_true_offset": outcome.peak_true_offset,
-                        },
-                    )
-    # Deterministic replay: re-run the first combination and demand a
-    # byte-identical trace.
-    first = outcomes[0]
-    replay = run_gauntlet(CELLS[0], first.arm, first.seed)
-    replay_ok = replay.trace_digest == first.trace_digest
-
-    print(
+SPEC = harness.Gauntlet(
+    cells=CELLS,
+    arms=ARMS,
+    run=run_gauntlet,
+    evaluate=evaluate,
+    header=lambda seeds: (
         f"mitm gauntlet: {len(CELLS)} cell(s) x {ARMS} x "
         f"{len(seeds)} seed(s), full_mesh({N_SERVERS}), τ={TAU:g}s, "
         f"attacks t={ATTACK_AT:g}..{ATTACK_AT + ATTACK_DURATION:g}s"
-    )
-    rows = [
-        [
-            o.cell,
-            o.arm,
-            o.seed,
-            f"{o.peak_true_offset:.3f}",
-            o.violations,
-            o.accepted_tainted,
-            o.tampered + o.replayed + o.swallowed + o.spoofed,
-            o.auth_failures,
-            o.replay_drops,
-            o.delay_detections,
-            o.quarantines,
-            f"{o.trace_digest:08x}",
-        ]
-        for o in outcomes
-    ]
-    print(
-        render_table(
-            [
-                "cell",
-                "arm",
-                "seed",
-                "peak off s",
-                "viol",
-                "taint-acc",
-                "attacks",
-                "mac-fail",
-                "replay-drop",
-                "delay-det",
-                "quar",
-                "trace digest",
-            ],
-            rows,
-        )
-    )
-    problems = evaluate(outcomes)
-    if not replay_ok:
-        problems.append(
-            f"replay of {first.cell}/{first.arm}/seed {first.seed} "
-            f"diverged: {replay.trace_digest:08x} != {first.trace_digest:08x}"
-        )
-    if json_path:
-        report = {
-            "tau": TAU,
-            "attack_at": ATTACK_AT,
-            "attack_duration": ATTACK_DURATION,
-            "seeds": list(seeds),
-            "replay_ok": replay_ok,
-            "ok": not problems,
-            "problems": problems,
-            "outcomes": [asdict(o) for o in outcomes],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nwrote JSON report to {json_path}")
-    if problems:
-        print()
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return False
-    print(
-        "\nthe plain arm was poisoned wherever the theory says it must "
+    ),
+    table=(
+        ("cell", lambda o: o.cell),
+        ("arm", lambda o: o.arm),
+        ("seed", lambda o: o.seed),
+        ("peak off s", lambda o: f"{o.peak_true_offset:.3f}"),
+        ("viol", lambda o: o.violations),
+        ("taint-acc", lambda o: o.accepted_tainted),
+        ("attacks", lambda o: o.tampered + o.replayed + o.swallowed + o.spoofed),
+        ("mac-fail", lambda o: o.auth_failures),
+        ("replay-drop", lambda o: o.replay_drops),
+        ("delay-det", lambda o: o.delay_detections),
+        ("quar", lambda o: o.quarantines),
+        ("trace digest", lambda o: f"{o.trace_digest:08x}"),
+    ),
+    success=(
+        "the plain arm was poisoned wherever the theory says it must "
         "be; the authenticated arm accepted zero forged or replayed "
         "messages and stayed invariant-clean in every cell; replay "
         "digests matched."
-    )
-    return True
+    ),
+    constants={
+        "tau": TAU,
+        "attack_at": ATTACK_AT,
+        "attack_duration": ATTACK_DURATION,
+    },
+    bundle_fields=(
+        "cell",
+        "arm",
+        "seed",
+        "violations",
+        "accepted_tainted",
+        "peak_true_offset",
+    ),
+    telemetry={"sample_period": TAU},
+)
 
+#: Every (cell, arm, seed) run of the gauntlet.
+run_matrix = SPEC.run_matrix
 
-if __name__ == "__main__":
-    raise SystemExit(0 if main() else 1)
+EXPERIMENTS = (
+    SPEC.experiment(
+        "mitm-gauntlet",
+        "on-path adversary: tamper/replay/delay-attack/spoof cells "
+        "vs plain, hardened, and authenticated arms under the "
+        "strict invariant oracle",
+        seeds=(0, 1, 2),
+    ),
+)

@@ -25,7 +25,6 @@ path too.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -38,8 +37,10 @@ from ..kernel import build_kernel_service, intersect_tolerating_vec
 from ..network.delay import UniformDelay
 from ..network.topology import stratum_hierarchy, stratum_of
 from ..service.builder import ServerSpec
+from . import harness
 
 __all__ = [
+    "EXPERIMENTS",
     "StratumReport",
     "ScaleRunOutcome",
     "build_specs",
@@ -220,12 +221,12 @@ def run_scale(
 
 def main(
     *,
-    sizes: Sequence[int] = (1000, 10000),
-    seeds: Sequence[int] = (0,),
-    shards: int = 4,
-    processes: int = 0,
-    tau: float = DEFAULT_TAU,
-    cycles: int = DEFAULT_CYCLES,
+    sizes: Sequence[int],
+    seeds: Sequence[int],
+    shards: int,
+    processes: int,
+    tau: float,
+    cycles: int,
     json_path: Optional[str] = None,
 ) -> bool:
     """Run the MM-vs-IM matrix, print the report, return pass/fail.
@@ -235,8 +236,6 @@ def main(
     than the Lemma 1 drift ceiling; plus, per (size, seed), the Theorem 8
     comparison — IM's mean error must not exceed MM's.
     """
-    from ..analysis.plots import render_table
-
     outcomes: List[ScaleRunOutcome] = []
     for size in sizes:
         for seed in seeds:
@@ -284,52 +283,34 @@ def main(
         f"{processes} process(es)"
     )
     print(
-        render_table(
-            [
-                "size",
-                "policy",
-                "seed",
-                "cycles",
-                "events",
-                "events/s",
-                "mean E",
-                "max E",
-                "census",
-                "growth ok",
-                "digest",
-            ],
-            [
-                [
-                    o.size,
-                    o.policy,
-                    o.seed,
-                    o.cycles_done,
-                    o.events,
-                    f"{o.events_per_sec:,.0f}",
-                    f"{o.mean_error * 1e3:.3f} ms",
-                    f"{o.max_error * 1e3:.3f} ms",
-                    f"{o.census_fraction:.3f}",
-                    "yes" if o.growth_ok else "NO",
-                    f"{o.state_digest:08x}",
-                ]
-                for o in outcomes
-            ],
+        harness.render(
+            (
+                ("size", lambda o: o.size),
+                ("policy", lambda o: o.policy),
+                ("seed", lambda o: o.seed),
+                ("cycles", lambda o: o.cycles_done),
+                ("events", lambda o: o.events),
+                ("events/s", lambda o: f"{o.events_per_sec:,.0f}"),
+                ("mean E", lambda o: f"{o.mean_error * 1e3:.3f} ms"),
+                ("max E", lambda o: f"{o.max_error * 1e3:.3f} ms"),
+                ("census", lambda o: f"{o.census_fraction:.3f}"),
+                ("growth ok", lambda o: "yes" if o.growth_ok else "NO"),
+                ("digest", lambda o: f"{o.state_digest:08x}"),
+            ),
+            outcomes,
         )
     )
     print("\nTheorem 8 (IM mean error <= MM mean error, matched runs):")
     print(
-        render_table(
-            ["size", "seed", "MM mean E", "IM mean E", "IM no worse"],
-            [
-                [
-                    row["size"],
-                    row["seed"],
-                    f"{row['mm_mean_error'] * 1e3:.3f} ms",
-                    f"{row['im_mean_error'] * 1e3:.3f} ms",
-                    "yes" if row["im_no_worse"] else "NO",
-                ]
-                for row in theorem8
-            ],
+        harness.render(
+            (
+                ("size", lambda row: row["size"]),
+                ("seed", lambda row: row["seed"]),
+                ("MM mean E", lambda row: f"{row['mm_mean_error'] * 1e3:.3f} ms"),
+                ("IM mean E", lambda row: f"{row['im_mean_error'] * 1e3:.3f} ms"),
+                ("IM no worse", lambda row: "yes" if row["im_no_worse"] else "NO"),
+            ),
+            theorem8,
         )
     )
     largest = max(outcomes, key=lambda o: o.size)
@@ -340,8 +321,9 @@ def main(
     )
     print("PASS" if ok else "FAIL")
 
-    if json_path:
-        report = {
+    harness.write_report(
+        json_path,
+        {
             "experiment": "scale_gauntlet",
             "sizes": list(sizes),
             "seeds": list(seeds),
@@ -352,13 +334,34 @@ def main(
             "ok": ok,
             "theorem8": theorem8,
             "runs": [asdict(o) for o in outcomes],
-        }
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {json_path}")
+        },
+    )
     return ok
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (
+    harness.Experiment(
+        "scale-gauntlet",
+        "vectorized kernel at scale: MM vs IM stratum hierarchies at "
+        "1k-50k servers, per-stratum Lemma 1 growth, Theorem 8 "
+        "comparison, neighbour-interval census",
+        main,
+        {
+            "--sizes": dict(type=int, nargs="+", default=[1000, 10000],
+                            requires=(lambda sizes: min(sizes) >= 1,
+                                      "must be positive"),
+                            help="stratum-hierarchy server counts to run"),
+            **harness.seeds_flag(0),
+            "--shards": dict(type=int, default=4, requires=harness.at_least(1),
+                             help="topology shards for the bulk kernel"),
+            "--processes": dict(type=int, default=0, requires=harness.at_least(0),
+                                help="worker processes (0 = advance shards "
+                                     "in-process)"),
+            "--tau": dict(type=float, default=DEFAULT_TAU,
+                          help="poll period, simulated seconds"),
+            "--cycles": dict(type=int, default=DEFAULT_CYCLES,
+                             help="poll cycles to simulate per run"),
+            **harness.JSON,
+        },
+    ),
+)

@@ -8,8 +8,9 @@ offers filtered views and numpy export for analysis.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -109,3 +110,24 @@ class TraceRecorder:
         """Drop all rows."""
         self._records.clear()
         self._counts.clear()
+
+
+def trace_digest(trace: Iterable[TraceRecord]) -> int:
+    """A stable fingerprint of an entire run's trace.
+
+    Two runs with the same seed must produce byte-identical traces; the
+    digest is a CRC32 over a canonical rendering of every row, so equal
+    digests mean equal traces, row for row and field for field.  The heap
+    simulator's gauntlets and the kernel's shard-invariance checks share
+    this one function, which is what makes their digests comparable.
+    """
+    crc = 0
+    for row in trace:
+        text = "%r|%s|%s|%s" % (
+            row.time,
+            row.kind,
+            row.source,
+            ",".join(f"{k}={row.data[k]!r}" for k in sorted(row.data)),
+        )
+        crc = zlib.crc32(text.encode("utf-8"), crc)
+    return crc

@@ -40,30 +40,24 @@ def test_registry_covers_fast_list():
 
 
 def test_registry_complete():
-    """Every experiment module with a main() is registered in the CLI."""
+    """Every experiment module with something to run is in the registry.
+
+    Walks the package on disk, not a hand-kept list: a module that defines
+    ``EXPERIMENTS`` or a ``main`` and is missing from the registry fails.
+    """
+    import importlib
+    import pkgutil
+
     import repro.experiments as exp
 
-    expected = {
-        module_name
-        for module_name in exp.__all__
-        if module_name not in ("scenarios",)
+    wrapped = {
+        getattr(entry.main, "__wrapped__", None) for entry in exp.REGISTRY.values()
     }
-    # The CLI uses a few renamed keys.
-    renames = {
-        "drift_recovery": "recovery",
-        "theorem_bounds": "theorem-bounds",
-        "topology_study": "topology",
-        "cold_start": "cold-start",
-        "delay_asymmetry": "asymmetry",
-        "churn": "churn",
-        "chaos_soak": "chaos-soak",
-        "dynamic_gauntlet": "dynamic-gauntlet",
-        "figure4_repair": "figure4-repair",
-        "figure3_liars": "figure3-liars",
-        "flash_crowd": "flash-crowd",
-        "scale_gauntlet": "scale-gauntlet",
-    }
-    registered = set(EXPERIMENTS)
-    for module_name in expected:
-        key = renames.get(module_name, module_name)
-        assert key in registered, f"{module_name} not runnable from the CLI"
+    for info in pkgutil.iter_modules(exp.__path__):
+        module = importlib.import_module(f"{exp.__name__}.{info.name}")
+        if hasattr(module, "EXPERIMENTS"):
+            for entry in module.EXPERIMENTS:
+                assert exp.REGISTRY.get(entry.name) is entry, entry.name
+        elif hasattr(module, "main"):
+            assert module.main in wrapped, f"{info.name} not runnable from the CLI"
+    assert set(EXPERIMENTS) == set(exp.REGISTRY)

@@ -33,7 +33,7 @@ from repro.recovery import SelfStabilizingRecovery
 from repro.recovery.stabilizer import StabilizerConfig
 from repro.service.builder import ServerSpec, build_service
 from repro.service.churn import ChurnController
-from repro.experiments.dynamic_gauntlet import run_gauntlet
+from repro.experiments.dynamic_gauntlet import GauntletCell, run_gauntlet
 from repro.telemetry import ServiceTelemetry
 from tests.helpers import make_mesh_service
 
@@ -598,9 +598,9 @@ class TestLocalSkewTelemetry:
 
 class TestGauntlet:
     def test_deterministic_and_clean(self):
-        kwargs = dict(churn_interval=40.0, mobility=True, horizon=200.0)
-        first = run_gauntlet("gradient", 0, **kwargs)
-        second = run_gauntlet("gradient", 0, **kwargs)
+        cell = GauntletCell("churn40+mob", 40.0, True)
+        first = run_gauntlet(cell, "gradient", 0, horizon=200.0)
+        second = run_gauntlet(cell, "gradient", 0, horizon=200.0)
         assert first.trace_digest == second.trace_digest
         assert first == second
         assert first.violations == 0
@@ -609,15 +609,15 @@ class TestGauntlet:
         assert first.skew_samples > 0
 
     def test_seeds_differ(self):
-        kwargs = dict(churn_interval=40.0, mobility=True, horizon=200.0)
-        a = run_gauntlet("IM", 0, **kwargs)
-        b = run_gauntlet("IM", 1, **kwargs)
+        cell = GauntletCell("churn40+mob", 40.0, True)
+        a = run_gauntlet(cell, "IM", 0, horizon=200.0)
+        b = run_gauntlet(cell, "IM", 1, horizon=200.0)
         assert a.trace_digest != b.trace_digest
 
     def test_mm_free_run_breaches_where_gradient_holds(self):
-        kwargs = dict(churn_interval=60.0, mobility=False, horizon=900.0)
-        mm = run_gauntlet("MM", 0, **kwargs)
-        grad = run_gauntlet("gradient", 0, **kwargs)
+        cell = GauntletCell("churn60", 60.0, False)
+        mm = run_gauntlet(cell, "MM", 0, horizon=900.0)
+        grad = run_gauntlet(cell, "gradient", 0, horizon=900.0)
         assert mm.skew_breaches > 0
         assert grad.skew_breaches == 0
         assert grad.max_local_skew < mm.max_local_skew
