@@ -22,7 +22,7 @@ This module materialises that structure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import networkx as nx
 

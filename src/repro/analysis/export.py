@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from ..service.builder import ServiceSnapshot
-from ..simulation.trace import TraceRecord, TraceRecorder
+from ..simulation.trace import TraceRecord
 
 PathLike = Union[str, Path]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from ..service.builder import SimulatedService
-from ..service.rate_tracking import RateTrackingServer
+from ..service.rate_tracking import RateTrackingStage
 from .consistency_graph import consistency_groups
 from .plots import render_intervals, render_table
 
@@ -96,6 +96,17 @@ def service_report(
         f"({delivery:.1%}), {stats.dropped} dropped"
     )
 
+    # --- security: the traffic that was signed, so an operator can see
+    # authentication is actually on.
+    secured = [s for s in service.servers.values() if hasattr(s, "security_stats")]
+    if secured:
+        sections.append(
+            f"security: {len(secured)} authenticated servers, "
+            f"{sum(s.authenticator.signed for s in secured)} messages signed, "
+            f"{sum(s.security_stats.auth_failures for s in secured)} auth failures, "
+            f"{sum(s.security_stats.replay_drops for s in secured)} replay drops"
+        )
+
     # --- consonance diagnosis (rate-tracking servers only).  Each tracker
     # reports the neighbours it finds dissonant; a *bad* observer flags
     # everyone, so suspects are the servers flagged by at least half of the
@@ -104,7 +115,7 @@ def service_report(
     trackers = [
         server
         for server in service.servers.values()
-        if isinstance(server, RateTrackingServer)
+        if server.stage(RateTrackingStage) is not None
     ]
     if trackers:
         flag_counts: dict[str, int] = {}
@@ -119,7 +130,7 @@ def service_report(
             if 2 * count > max(len(trackers) - 1, 1)
         }
         # A tracker seeing the whole service recede coherently implicates
-        # itself (see RateTrackingServer.self_suspect).
+        # itself (see RateTrackingStage.self_suspect).
         suspects_set.update(
             tracker.name for tracker in trackers if tracker.self_suspect()
         )

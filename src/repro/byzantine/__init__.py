@@ -13,10 +13,10 @@ intersection:
 * :mod:`repro.byzantine.budget` — the adaptive per-round fault budget
   ``f``: raised while ``2f < n`` when falsetickers are detected, decayed
   when rounds run clean;
-* :mod:`repro.byzantine.server` — :class:`ByzantineTolerantServer`, a
-  :class:`~repro.recovery.server.SelfStabilizingServer` that runs
-  :class:`~repro.core.ft_im.FTIMPolicy`, demotes persistent falsetickers
-  out of its poll set via the hardening health score, excludes them from
+* :mod:`repro.byzantine.server` — :class:`ByzantineStage`, which over a
+  :class:`~repro.recovery.server.StabilizingStage` feeds on
+  :class:`~repro.core.ft_im.FTIMPolicy` rounds, demotes persistent
+  falsetickers out of the poll set via the peer-health book, excludes them from
   recovery arbitration, and carries reputation through the PR-2
   checkpoint so a warm restart does not re-trust a known liar.
 """
@@ -27,12 +27,12 @@ from .reputation import (
     ReputationConfig,
     ReputationTracker,
 )
-from .server import ByzantineConfig, ByzantineStats, ByzantineTolerantServer
+from .server import ByzantineConfig, ByzantineStage, ByzantineStats
 
 __all__ = [
     "ByzantineConfig",
+    "ByzantineStage",
     "ByzantineStats",
-    "ByzantineTolerantServer",
     "FaultBudgetConfig",
     "FaultBudgetController",
     "NeighbourReputation",

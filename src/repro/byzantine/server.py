@@ -1,17 +1,18 @@
 """The Byzantine-tolerant time server.
 
-:class:`ByzantineTolerantServer` is a
-:class:`~repro.recovery.server.SelfStabilizingServer` (checkpointing,
-census, merge epochs) whose synchronization policy is expected to be an
-:class:`~repro.core.ft_im.FTIMPolicy`.  On top of the recovery stack it
-adds the full liar-handling loop:
+:class:`ByzantineStage` sits over a
+:class:`~repro.recovery.server.StabilizingStage` (checkpointing,
+census, merge epochs) on a server whose synchronization policy is
+expected to be an :class:`~repro.core.ft_im.FTIMPolicy`.  On top of the
+recovery stack it adds the full liar-handling loop:
 
 * **Round classification → reputation** — every FT-IM round's
   truechimer/falseticker split feeds the
   :class:`~repro.byzantine.reputation.ReputationTracker`; persistent
-  falsetickers are *demoted from the poll set* through the hardening
-  subsystem's :class:`~repro.service.hardening.NeighbourHealth` score and
-  quarantine machinery (with its starvation guard and cooldown-probing),
+  falsetickers are *demoted from the poll set* through the server's
+  :class:`~repro.service.hardening.PeerHealth` book — the hardening
+  subsystem's score and quarantine machinery, with its starvation guard
+  and cooldown-probing, shared with the hardening stage when both run —
   and their census verdicts are overwritten with the classification so
   liars lose recovery-arbiter support service-wide.
 * **Reply validation → reputation** — the hardened sanity checks plus
@@ -32,19 +33,13 @@ adds the full liar-handling loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.ft_im import FTIMPolicy, FTRoundOutcome
-from ..recovery.server import SelfStabilizingServer
-from ..recovery.store import Checkpoint
-from ..service.hardening import (
-    NeighbourHealth,
-    QuarantinePolicy,
-    quarantine_poll_filter,
-    reply_sanity_rejection,
-)
+from ..recovery.server import StabilizingStage
+from ..service.hardening import PeerHealth, QuarantinePolicy, validation_rejection
 from ..service.messages import TimeReply
-from ..service.server import _PollRound
+from ..service.server import Stage, TimeServer
 from .budget import FaultBudgetController
 from .reputation import ReputationConfig, ReputationTracker
 
@@ -99,75 +94,71 @@ class DemotionEvent:
     neighbour: str
 
 
-class ByzantineTolerantServer(SelfStabilizingServer):
-    """A self-stabilizing server that tolerates, detects and benches liars.
+class ByzantineStage(Stage):
+    """Tolerates, detects and benches liars.
 
-    Accepts all :class:`~repro.recovery.server.SelfStabilizingServer`
-    arguments plus:
+    Needs a :class:`~repro.recovery.server.StabilizingStage` (for the
+    census) and a :class:`~repro.service.hardening.PeerHealth` book
+    earlier in the stage list.
 
     Args:
-        byzantine: The tolerance-layer knobs; defaults to
+        config: The tolerance-layer knobs; defaults to
             :class:`ByzantineConfig`'s defaults.
 
     The synchronization policy should be a per-server
     :class:`~repro.core.ft_im.FTIMPolicy`; when its ``fault_budget`` is a
-    :class:`~repro.byzantine.budget.FaultBudgetController` the server
+    :class:`~repro.byzantine.budget.FaultBudgetController` the stage
     adopts and drives it.  Any other batch policy still works — the
-    server then only gets validation-based (not classification-based)
+    stage then only gets validation-based (not classification-based)
     reputation evidence.
     """
 
-    def __init__(
-        self,
-        *args,
-        byzantine: Optional[ByzantineConfig] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.byzantine = byzantine if byzantine is not None else ByzantineConfig()
+    exports = (
+        "byzantine_stats",
+        "reputation",
+        "budget_controller",
+        "demotion_log",
+        "falseticker_neighbours",
+    )
+
+    def __init__(self, config: Optional[ByzantineConfig] = None) -> None:
+        self.byzantine = config if config is not None else ByzantineConfig()
         self.reputation = ReputationTracker(self.byzantine.reputation)
         self.byzantine_stats = ByzantineStats()
-        self.health: Dict[str, NeighbourHealth] = {}
         self.demotion_log: List[DemotionEvent] = []
+
+    def attach(self, server: TimeServer) -> None:
+        super().attach(server)
+        self.census = self.need(StabilizingStage).census
+        self.peers = self.need(PeerHealth)
+        self.peers.reporters.append(self)
         controller = None
-        if isinstance(self.policy, FTIMPolicy) and isinstance(
-            self.policy.fault_budget, FaultBudgetController
+        if isinstance(server.policy, FTIMPolicy) and isinstance(
+            server.policy.fault_budget, FaultBudgetController
         ):
-            controller = self.policy.fault_budget
+            controller = server.policy.fault_budget
         self.budget_controller = controller
 
     # --------------------------------------------------------------- health
 
-    def _health(self, name: str) -> NeighbourHealth:
-        if name not in self.health:
-            self.health[name] = NeighbourHealth()
-        return self.health[name]
-
-    def quarantined_peers(self) -> List[str]:
-        """Neighbours currently demoted from the poll set."""
-        return sorted(
-            name
-            for name, record in self.health.items()
-            if record.is_quarantined(self.now)
-        )
-
-    def _note_demotion(self, name: str) -> None:
+    def peer_benched(self, name: str) -> None:
+        server = self.server
         self.byzantine_stats.demotions += 1
-        self.demotion_log.append(DemotionEvent(at=self.now, neighbour=name))
-        self._trace("demote", server=name)
-        self.telemetry.demotion(self.now, name)
+        self.demotion_log.append(DemotionEvent(at=server.now, neighbour=name))
+        server._trace("demote", server=name)
+        server.telemetry.demotion(server.now, name)
+
+    def peers_readmitted(self, count: int) -> None:
+        self.byzantine_stats.starvation_overrides += count
 
     def falseticker_neighbours(self) -> tuple[str, ...]:
+        """Neighbours currently classified falsetickers — the
+        stabilizer's arbiter vetting consults this on every recovery."""
         return self.reputation.falsetickers()
 
     # ------------------------------------------------------- poll targeting
 
-    def _poll_targets(self) -> list[str]:
-        neighbours = super()._poll_targets()
-        active, readmitted = quarantine_poll_filter(
-            neighbours, self._health, self.now, self.byzantine.quarantine
-        )
-        self.byzantine_stats.starvation_overrides += len(readmitted)
+    def _poll_targets(self, active: list[str]) -> list[str]:
         if self.budget_controller is not None:
             # Classified liars still being polled (probation probes or
             # pre-demotion rounds) are *known* faults: budget for them
@@ -181,59 +172,34 @@ class ByzantineTolerantServer(SelfStabilizingServer):
     # ----------------------------------------------------------- validation
 
     def _validate_reply(self, reply: TimeReply) -> Optional[str]:
-        cfg = self.byzantine
-        reason: Optional[str] = None
-        if cfg.validate:
-            value, error = self.report()
-            reason = reply_sanity_rejection(
-                reply,
-                local_value=value,
-                local_error=error,
-                delta=self.delta,
-                xi=self.network.xi,
-                max_error=cfg.max_error,
-                plausibility_slack=cfg.plausibility_slack,
-            )
-        if reason is None and cfg.error_physics:
-            reason = self._error_physics_rejection(reply)
+        reason = validation_rejection(self.server, reply, self.byzantine)
         if reason is not None:
             self.byzantine_stats.validation_rejections += 1
-            self.reputation.observe_validation_failure(reply.server)
-            if self._health(reply.server).record_invalid(
-                self.now, cfg.quarantine
-            ):
-                self._note_demotion(reply.server)
+            self.server._peer_rejected(reply.server)
         return reason
+
+    def _peer_rejected(self, peer: str) -> None:
+        self.reputation.observe_validation_failure(peer)
 
     # ------------------------------------------------------- round feedback
 
-    def _on_round_closed(self, round_: _PollRound) -> None:
-        super()._on_round_closed(round_)
-        quarantine = self.byzantine.quarantine
-        for name in sorted(round_.outstanding | round_.unsent):
-            if self._health(name).record_timeout(self.now, quarantine):
-                self._note_demotion(name)
-
     def _on_round_outcome(self, outcome) -> None:
-        super()._on_round_outcome(outcome)
         if not isinstance(outcome, FTRoundOutcome):
             return
         if outcome.mode == "tolerant":
             self.byzantine_stats.tolerant_rounds += 1
         else:
             self.byzantine_stats.plain_rounds += 1
-        quarantine = self.byzantine.quarantine
-        now_local = self.clock_value()
+        now_local = self.server.clock_value()
         for name in outcome.truechimers:
             self.reputation.observe_truechimer(name)
-            self._health(name).record_good(quarantine)
+            self.peers.good(name)
         for name in outcome.falsetickers:
             self.byzantine_stats.falseticker_observations += 1
             if self.reputation.observe_falseticker(name):
                 if self.reputation.is_falseticker(name):
-                    self._trace("falseticker", server=name)
-            if self._health(name).record_inconsistent(self.now, quarantine):
-                self._note_demotion(name)
+                    self.server._trace("falseticker", server=name)
+            self.peers.inconsistent(name)
             # Classification outranks the per-reply transit check the
             # census already recorded: a tolerated liar's reply can still
             # overlap the local interval, but the round-level majority
@@ -254,38 +220,36 @@ class ByzantineTolerantServer(SelfStabilizingServer):
 
     # --------------------------------------------------- recovery exclusion
 
-    def _note_inconsistency(self, conflicting: tuple[str, ...]) -> None:
+    def before_inconsistency(self, conflicting: tuple[str, ...]) -> tuple[str, ...]:
         flagged = tuple(
             name
             for name in self.reputation.falsetickers()
-            if name != self.name
+            if name != self.server.name
         )
-        benched = tuple(self.quarantined_peers())
-        conflicting = tuple(
-            dict.fromkeys(tuple(conflicting) + flagged + benched)
-        )
-        super()._note_inconsistency(conflicting)
+        benched = tuple(self.peers.quarantined_peers())
+        return tuple(dict.fromkeys(tuple(conflicting) + flagged + benched))
 
     # ------------------------------------------------- durable reputation
 
-    def _checkpoint_extras(self) -> dict:
-        extras = dict(super()._checkpoint_extras())
-        extras["reputation"] = self.reputation.encode()
-        extras["fault_budget"] = (
-            self.budget_controller.value
-            if self.budget_controller is not None
-            else 0
-        )
-        return extras
+    def checkpoint_fields(self) -> dict:
+        return {
+            "reputation": self.reputation.encode(),
+            "fault_budget": (
+                self.budget_controller.value
+                if self.budget_controller is not None
+                else 0
+            ),
+        }
 
-    def _restore_checkpoint_extras(self, checkpoint: Checkpoint) -> None:
-        super()._restore_checkpoint_extras(checkpoint)
+    def restore_checkpoint(self, checkpoint) -> None:
+        if checkpoint is None:
+            return
         try:
             self.reputation.restore(checkpoint.reputation)
         except ValueError:
             # A checkpoint that decoded but carries a garbled blob: start
             # reputation fresh rather than fail the whole warm restart.
-            self.reputation = ReputationTracker(self.byzantine.reputation)
+            self.reputation.restore("")
         if self.budget_controller is not None and checkpoint.fault_budget > 0:
             self.budget_controller.value = max(
                 self.budget_controller.config.minimum, checkpoint.fault_budget

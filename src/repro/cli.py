@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="authenticate sync-plane messages: keyed MACs "
                           "over a canonical encoding, per-request nonces, "
                           "an anti-replay window, and the delay guard "
-                          "(composes with --byzantine-tolerant)")
+                          "(composes with every other server flag)")
     sim.add_argument("--holdover", action="store_true",
                      help="enable holdover mode and the slew/step safety "
                           "rails (implies --discipline and "

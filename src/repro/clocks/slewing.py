@@ -30,8 +30,8 @@ Each accepted reset *replaces* the pending offset (the new target says
 where the clock should be **now**; any undrained remainder of an older
 correction is superseded).  Rate-discipline calls (``adjust_rate``,
 ``correction``, ``effective_skew``) delegate to the inner clock when it
-supports them, so :class:`SlewingClock` slots into the disciplining
-server tower unchanged.
+supports them, so :class:`SlewingClock` slots under the discipline
+stage unchanged.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ partitions into consistency groups (Figure 4) — is reproduced by the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np

@@ -56,7 +56,7 @@ class LocalSkewMonitor(SimProcess):
     def __init__(
         self,
         engine: SimulationEngine,
-        service: "SimulatedService",
+        service: SimulatedService,
         *,
         bound: float,
         period: float = 5.0,

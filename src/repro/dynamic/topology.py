@@ -34,7 +34,7 @@ by the fault injector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
@@ -101,24 +101,24 @@ class DynamicTopology:
     def __init__(
         self,
         network: Network,
-        servers: Optional[Mapping[str, "TimeServer"]] = None,
+        servers: Optional[Mapping[str, TimeServer]] = None,
         *,
         trace=None,
         guard_connectivity: bool = True,
         validate: bool = True,
     ) -> None:
         self.network = network
-        self._servers: Dict[str, "TimeServer"] = dict(servers or {})
+        self._servers: Dict[str, TimeServer] = dict(servers or {})
         self.trace = trace
         self.guard_connectivity = guard_connectivity
         self.validate = validate
-        self.mobility: Optional["WaypointMobility"] = None
+        self.mobility: Optional[WaypointMobility] = None
         self.stats = DynamicTopologyStats()
         # Edges stashed per departed node, restored on join.
         self._detached_edges: Dict[str, List[Tuple[str, str, dict]]] = {}
 
     @classmethod
-    def for_service(cls, service: "SimulatedService", **kwargs) -> "DynamicTopology":
+    def for_service(cls, service: SimulatedService, **kwargs) -> DynamicTopology:
         """Wrap a built service's network, servers, and trace."""
         return cls(
             service.network, service.servers, trace=service.trace, **kwargs

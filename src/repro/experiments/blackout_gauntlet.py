@@ -15,7 +15,7 @@ servers that poll only the hub):
 
 * ``mm`` — plain :class:`~repro.service.server.TimeServer` under rule
   MM: free-runs at its raw skew during the blackout;
-* ``holdover`` — :class:`~repro.holdover.server.HoldoverServer`: a
+* ``holdover`` — :class:`~repro.holdover.server.HoldoverStage`: a
   disciplined, slewing clock, the SYNCED → HOLDOVER → DEGRADED →
   REINTEGRATING machine, reset suppression until revalidation, and
   bounded-slew adoption afterwards.
@@ -276,7 +276,7 @@ def run_gauntlet(
                 resync_at = t
             if arm == "holdover" and synced_at is None:
                 states = [
-                    service.servers[name].holdover_state for name in leaves
+                    service.servers[name].holdover.state for name in leaves
                 ]
                 if all(s is HoldoverState.SYNCED for s in states):
                     synced_at = t

@@ -11,7 +11,7 @@ liars.  This experiment runs seeded soak storms and reports:
 * **deterministic replay** — the same seed reproduces the identical fault
   timeline (schedule signature) and the identical run (trace digest);
 * **hardening pays** — under a sustained 30% loss, flapping links, and a
-  persistent liar, :class:`~repro.service.hardening.HardenedTimeServer`
+  persistent liar, :class:`~repro.service.hardening.HardeningStage`
   quarantines the liar and keeps the honest servers' error bounded while
   the plain baseline's inconsistency count diverges linearly.
 """

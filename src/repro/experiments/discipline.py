@@ -30,7 +30,7 @@ from ..core.im import IMPolicy
 from ..network.delay import UniformDelay
 from ..network.topology import full_mesh
 from ..service.builder import ServerSpec, build_service
-from ..service.discipline import DiscipliningServer
+from ..service.discipline import DisciplineStage
 from .scenarios import grid
 
 
@@ -117,7 +117,7 @@ def _run_arm(
     residual: Dict[str, float] = {}
     for server_name in names:
         server = service.servers[server_name]
-        if isinstance(server, DiscipliningServer):
+        if server.stage(DisciplineStage) is not None:
             raw_skew = skews[names.index(server_name)]
             residual[server_name] = server.clock.effective_skew(raw_skew)  # type: ignore[attr-defined]
     return DisciplineArm(

@@ -25,7 +25,7 @@ Each cell compares two arms:
   round starves into recovery and a randomly chosen arbiter is a liar
   often enough that some honest server adopts the lie (a *poisoned*
   reset — oracle-incorrect afterwards);
-* **ft** — :class:`~repro.byzantine.server.ByzantineTolerantServer` with
+* **ft** — :class:`~repro.byzantine.server.ByzantineStage` with
   a per-server :class:`~repro.core.ft_im.FTIMPolicy` driven by the
   adaptive :class:`~repro.byzantine.budget.FaultBudgetController`: rounds
   stay tolerant, the liars are classified, demoted from the poll set and

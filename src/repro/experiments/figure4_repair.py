@@ -11,7 +11,7 @@ servers are *supposed* to be wrong and when) and compares two arms:
   ThirdServerRecovery`: G1 is repeatedly poisoned and the non-faulty
   servers end in two or more consistency groups (the Figure 4 state);
 * **self-stabilizing** — :class:`~repro.recovery.server.
-  SelfStabilizingServer` with :class:`~repro.recovery.stabilizer.
+  StabilizingStage` with :class:`~repro.recovery.stabilizer.
   SelfStabilizingRecovery`: the consonance veto and census-majority
   vetting keep the liars out of the arbiter pool, so every recovery
   merges G1 back into the good core and the non-faulty servers end in

@@ -19,8 +19,9 @@ backoff machinery.  Two arms run the identical scenario:
   error (the clock visibly steps *backwards*), and from then on honest
   replies are the ones rejected as inconsistent — the node is stuck
   wrong, and the live invariant probes count every 50 ms of it.
-* **hardened** — :class:`~repro.runtime.node.LiveAuthenticatedServer`:
-  hardening + authentication + slewing rails.  Tampered replies fail
+* **hardened** — a node of kind ``authenticated``: hardening +
+  authentication (:class:`~repro.security.server.SecurityStage`) +
+  slewing rails.  Tampered replies fail
   their MAC, delay physics guard the spike, pending slew is charged to
   ``ε``, and every adopted interval stays MM-1-valid: the acceptance
   bar is **zero** MM-1 and **zero** monotonicity violations over the

@@ -9,11 +9,11 @@ replies — each run under three arms:
 
 * ``plain`` — the paper's :class:`~repro.service.server.TimeServer`,
   trusting every bit on the wire;
-* ``hardened`` — :class:`~repro.service.hardening.HardenedTimeServer`:
+* ``hardened`` — :class:`~repro.service.hardening.HardeningStage`:
   plausibility validation, health-score quarantine, but no
   cryptography and no transit-physics check;
 * ``authenticated`` —
-  :class:`~repro.security.server.AuthenticatedTimeServer`: keyed MACs
+  hardening plus :class:`~repro.security.server.SecurityStage`: keyed MACs
   over a canonical encoding, per-request nonces, a per-peer
   anti-replay window, and the delay guard judging measured RTTs
   against the links' declared delay models.

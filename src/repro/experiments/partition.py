@@ -104,8 +104,8 @@ def run(
     """Run the two-bad-neighbours breakdown.
 
     Args:
-        rate_tracking: Build :class:`~repro.service.rate_tracking.
-            RateTrackingServer`s, which exclude provably-dissonant
+        rate_tracking: Attach :class:`~repro.service.rate_tracking.
+            RateTrackingStage`s, which exclude provably-dissonant
             neighbours from the recovery arbiter pool — the Section 5 fix.
             With it on, the poisoned-recovery count drops to (near) zero
             and the good servers stay in one consistency group.

@@ -139,7 +139,7 @@ class FaultInjector(SimProcess):
         rng: Optional[np.random.Generator] = None,
         trace: Optional[TraceRecorder] = None,
         store=None,
-        dynamic: Optional["DynamicTopology"] = None,
+        dynamic: Optional[DynamicTopology] = None,
         name: str = "chaos",
     ) -> None:
         super().__init__(engine, name)
@@ -219,9 +219,9 @@ class FaultInjector(SimProcess):
 
     def _apply_LossBurst(self, event: LossBurst) -> None:
         try:
-            link = self.network.link(event.a, event.b)
+            self.network.link(event.a, event.b)
         except KeyError:
-            return
+            return  # no such edge
         key = self.network._key(event.a, event.b)
         bursts = self._loss_bursts.setdefault(key, [])
         bursts.append(event.probability)

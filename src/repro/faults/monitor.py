@@ -31,11 +31,11 @@ its artefact.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.intervals import TimeInterval
-from ..service.hardening import HardenedTimeServer
+from ..service.hardening import HardeningStage
 from ..service.server import TimeServer
 from ..simulation.engine import SimulationEngine
 from ..simulation.process import SimProcess
@@ -319,7 +319,7 @@ class InvariantMonitor(SimProcess):
                     )
         for name in sorted(self.servers):
             server = self.servers[name]
-            if isinstance(server, HardenedTimeServer):
+            if server.stage(HardeningStage) is not None:
                 if server.departed:
                     self._count("starvation", "exempted")
                 else:
@@ -368,7 +368,7 @@ class InvariantMonitor(SimProcess):
             # it persists, not a violation-per-check forever after.
             self._sync_progress[name] = (handled, t)
 
-    def _check_starvation(self, name: str, server: HardenedTimeServer) -> None:
+    def _check_starvation(self, name: str, server: TimeServer) -> None:
         quarantine = server.hardening.quarantine
         if quarantine is None:
             return

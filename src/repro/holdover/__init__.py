@@ -2,7 +2,7 @@
 
 What a time server *is* when its sources vanish: an explicit
 SYNCED → HOLDOVER → DEGRADED → REINTEGRATING → SYNCED state machine
-(:mod:`repro.holdover.controller`), a server integrating it with the
+(:mod:`repro.holdover.controller`), a server stage integrating it with the
 discipline servo, the recovery subsystem and a slewing clock
 (:mod:`repro.holdover.server`), and a fine-grained monotonicity oracle
 (:mod:`repro.holdover.probe`).  See ``docs/holdover.md``.
@@ -10,12 +10,12 @@ discipline servo, the recovery subsystem and a slewing clock
 
 from .controller import HoldoverConfig, HoldoverController, HoldoverState
 from .probe import MonotonicityProbe, MonotonicityViolation
-from .server import HoldoverServer, HoldoverStats
+from .server import HoldoverStage, HoldoverStats
 
 __all__ = [
     "HoldoverConfig",
     "HoldoverController",
-    "HoldoverServer",
+    "HoldoverStage",
     "HoldoverState",
     "HoldoverStats",
     "MonotonicityProbe",

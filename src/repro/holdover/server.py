@@ -1,16 +1,15 @@
-"""The holdover-capable server: discipline + recovery + safety rails.
+"""The holdover stage: discipline + recovery + safety rails.
 
-:class:`HoldoverServer` is the integration point of the clock-safety
-subsystem.  It multiply inherits the two towers grown by earlier
-subsystems —
+:class:`HoldoverStage` is the integration point of the clock-safety
+subsystem.  It runs over the two stacks grown by earlier subsystems —
 
-* :class:`~repro.service.discipline.DiscipliningServer` (Section 5
+* :class:`~repro.service.discipline.DisciplineStage` (Section 5
   consonance rate servo over a rate-adjustable clock), and
-* :class:`~repro.recovery.server.SelfStabilizingServer` (durable
+* :class:`~repro.recovery.server.StabilizingStage` (durable
   checkpoints, consistency census, merge epochs)
 
-— and wires both to a :class:`~repro.clocks.slewing.SlewingClock` over a
-:class:`~repro.clocks.disciplined.DisciplinedClock` plus a
+— on a server whose clock is a :class:`~repro.clocks.slewing.SlewingClock`
+over a :class:`~repro.clocks.disciplined.DisciplinedClock`, and drives a
 :class:`~repro.holdover.controller.HoldoverController`:
 
 * **Round-source accounting.**  Every poll round reports how many valid
@@ -29,7 +28,9 @@ subsystems —
   refused *before* any server bookkeeping runs — ``ε``, ``r_i``, the
   merge epoch and the raw-timescale adjustment all stay untouched — and
   counted.  Accepted slewed resets widen ``ε`` by the still-draining
-  remainder, since the reading has not yet reached the adopted target.
+  remainder (:class:`~repro.service.server.SlewRail`, which any server
+  with a slewing clock carries), since the reading has not yet reached
+  the adopted target.
 * **Discipline freeze.**  The rate servo only steps while ``SYNCED`` and
   not mid-slew (a draining offset would bias every rate estimate); in
   holdover the last disciplined correction is the oscillator model.
@@ -37,11 +38,10 @@ subsystems —
   ``BUSY`` reply with a retry hint.  Poll and recovery requests are
   still answered — MM-1 keeps them correct, and an all-degraded
   neighbourhood must be able to bootstrap its own reintegration.
-* **Discipline persistence.**  The rate correction and the per-neighbour
-  rate-estimator windows ride the PR-2 checkpoint (``discipline`` field);
-  a crash loses RAM and the kernel frequency word (modelled by zeroing
-  both), and a warm restart re-applies them, resuming holdover-quality
-  timekeeping instead of relearning the oscillator from scratch.
+
+The servo state itself (rate correction, estimator windows) rides the
+checkpoint as the discipline stage's field, so a warm restart resumes
+holdover-quality timekeeping.
 """
 
 from __future__ import annotations
@@ -50,18 +50,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.consonance import RateEstimator, RateObservation
-from ..recovery.server import SelfStabilizingServer
-from ..recovery.store import Checkpoint
-from ..service.discipline import DiscipliningServer
+from ..recovery.server import StabilizingStage
+from ..service.discipline import DisciplineStage
 from ..service.messages import ReplyStatus, RequestKind, TimeReply, TimeRequest
+from ..service.server import Stage, TimeServer
 from ..telemetry.registry import CounterBackedStats, CounterField
 from .controller import HoldoverConfig, HoldoverController, HoldoverState
 
-__all__ = ["HoldoverServer", "HoldoverStats"]
-
-#: Characters the discipline checkpoint blob reserves as separators.
-_RESERVED = set("|~:;,")
+__all__ = ["HoldoverStage", "HoldoverStats"]
 
 
 class HoldoverStats(CounterBackedStats):
@@ -87,87 +83,71 @@ class HoldoverStats(CounterBackedStats):
     )
 
 
-class HoldoverServer(DiscipliningServer, SelfStabilizingServer):
-    """A disciplined, self-stabilizing server with holdover + slew rails.
+class HoldoverStage(Stage):
+    """Holdover state machine and reset rails over a disciplined,
+    self-stabilizing server.
 
-    Accepts all :class:`DiscipliningServer` and
-    :class:`SelfStabilizingServer` arguments plus:
+    Needs a :class:`~repro.service.discipline.DisciplineStage` and a
+    :class:`~repro.recovery.server.StabilizingStage` earlier in the
+    stage list.
 
     Args:
-        holdover: The holdover/safety-rail configuration (None uses
+        config: The holdover/safety-rail configuration (None uses
             :class:`HoldoverConfig` defaults).  The slew-rail knobs in it
             are consumed by the builder when it constructs the clock
-            stack; this class only requires the clock it is handed to
-            *have* the rails.
+            stack; this stage only requires the clock it finds to *have*
+            the rails.
 
     Raises:
-        TypeError: If the clock lacks the slewing-rail surface
+        TypeError: At attach, if the clock lacks the slewing-rail surface
             (``sanity_bound``/``slew_remaining``/``slewed_out``) — wrap
             it in a :class:`~repro.clocks.slewing.SlewingClock`.
     """
 
-    def __init__(
-        self,
-        *args,
-        holdover: Optional[HoldoverConfig] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        for attr in ("sanity_bound", "slew_remaining", "slewed_out", "slewing"):
-            if not hasattr(self.clock, attr):
-                raise TypeError(
-                    "HoldoverServer requires a clock with slewing rails "
-                    f"(SlewingClock); {type(self.clock).__name__} has no "
-                    f"{attr!r}"
-                )
-        self.holdover_config = (
-            holdover if holdover is not None else HoldoverConfig()
-        )
+    exports = ("holdover", "holdover_config", "holdover_stats", "holdover_age_now")
+
+    def __init__(self, config: Optional[HoldoverConfig] = None) -> None:
+        self.holdover_config = config if config is not None else HoldoverConfig()
         self.holdover = HoldoverController(self.holdover_config)
-        self.holdover.reanchor(self.clock.read(self.now))
-        self.holdover_stats = HoldoverStats(self.telemetry.stats_registry())
         # (round_id, replies_handled, inconsistencies) at round start.
         self._source_watermark: Optional[tuple[int, int, int]] = None
 
+    def attach(self, server: TimeServer) -> None:
+        super().attach(server)
+        discipline = self.need(DisciplineStage)
+        self.need(StabilizingStage)
+        for attr in ("sanity_bound", "slew_remaining", "slewed_out", "slewing"):
+            if not hasattr(server.clock, attr):
+                raise TypeError(
+                    "holdover requires a clock with slewing rails "
+                    f"(SlewingClock); {type(server.clock).__name__} has no "
+                    f"{attr!r}"
+                )
+        self.rates = discipline.rates
+        discipline.frozen = self._servo_frozen
+        self.holdover.reanchor(server.clock.read(server.now))
+        self.holdover_stats = HoldoverStats(server.telemetry.stats_registry())
+
     # ------------------------------------------------------------ lifecycle
 
-    def on_start(self) -> None:
-        super().on_start()
-        period = self.tau if self.tau is not None else 60.0
-        self.every(period, self._holdover_tick, first_at=self.now + period)
+    def after_start(self) -> None:
+        server = self.server
+        period = server.tau if server.tau is not None else 60.0
+        server.every(period, self._holdover_tick, first_at=server.now + period)
 
-    def rejoin(self, initial_error: float) -> None:
-        was_departed = self.departed
-        super().rejoin(initial_error)
-        if was_departed and not self.departed:
-            # The downtime gap must not read as a source blackout.
-            self.holdover.reanchor(self.clock.read(self.now))
-
-    def restart(self, cold_error: float):
-        if not self.departed:
-            return None
-        # A crash loses RAM and the kernel frequency word: zero the rate
-        # correction and drop the estimator windows *before* the warm
-        # path re-applies whatever the checkpoint preserved.
-        self.clock.adjust_rate(self.now, 0.0)
-        self._estimators.clear()
-        self._remote_delta.clear()
-        return super().restart(cold_error)
+    def after_rejoin(self, initial_error: float) -> None:
+        # The downtime gap must not read as a source blackout.
+        self.holdover.reanchor(self.server.clock.read(self.server.now))
 
     # ---------------------------------------------------------- observation
 
-    @property
-    def holdover_state(self) -> HoldoverState:
-        """The controller's current state (for telemetry and tests)."""
-        return self.holdover.state
-
     def holdover_age_now(self) -> float:
         """Local seconds since holdover began (0.0 while SYNCED)."""
-        return self.holdover.holdover_age(self.clock_value())
+        return self.holdover.holdover_age(self.server.clock_value())
 
     def expected_true_error(self) -> float:
         """The consonance-backed expected true error (not the claimed E)."""
-        return self.holdover.expected_error(self.clock_value())
+        return self.holdover.expected_error(self.server.clock_value())
 
     def effective_drift_estimate(self) -> float:
         """Median measured |separation rate| over consonant neighbours.
@@ -180,20 +160,12 @@ class HoldoverServer(DiscipliningServer, SelfStabilizingServer):
         """
         rates = [
             abs(report.estimate.rate)
-            for report in self.rate_reports().values()
+            for report in self.rates.rate_reports().values()
             if report.estimate is not None and report.consonant is not False
         ]
         if not rates:
-            return self.delta
+            return self.server.delta
         return float(np.median(rates))
-
-    # ------------------------------------------------------------ raw time
-
-    def _raw_adjustment(self) -> float:
-        # Gradually-drained slew corrections move the reading without a
-        # reset's before/after jump; fold them into the raw timescale so
-        # the rate estimators keep seeing the free-running oscillator.
-        return self._cumulative_adjustment + self.clock.slewed_out
 
     # ------------------------------------------------------- state machine
 
@@ -210,197 +182,131 @@ class HoldoverServer(DiscipliningServer, SelfStabilizingServer):
             self.holdover_stats.degraded_transitions += 1
         elif after is HoldoverState.SYNCED:
             self.holdover_stats.reintegrations += 1
-        self._trace(
+        self.server._trace(
             "holdover",
             state=after.name,
             prev=before.name,
-            age=self.holdover.holdover_age(self.clock_value()),
+            age=self.holdover.holdover_age(self.server.clock_value()),
         )
 
     def _holdover_tick(self) -> None:
-        now_local = self.clock_value()
+        now_local = self.server.clock_value()
         self._drive(
             lambda: self.holdover.tick(
                 now_local,
-                error=self.error(),
+                error=self.server.error(),
                 drift=self.effective_drift_estimate(),
             )
         )
 
     def _on_round_started(self, round_) -> None:
-        super()._on_round_started(round_)
         self._source_watermark = (
             round_.round_id,
-            self.stats.replies_handled,
-            self.stats.inconsistencies,
+            self.server.stats.replies_handled,
+            self.server.stats.inconsistencies,
         )
 
-    def _complete_round(self, round_) -> None:
-        if round_.closed:
-            return
-        watermark = self._source_watermark
-        super()._complete_round(round_)
+    def after_round(self, round_) -> None:
         # Watermark deltas: valid replies and inconsistencies attributable
         # to exactly this round, whether the policy acted incrementally
-        # (MM, during _handle_reply) or at close (IM, inside super above).
-        # Rounds that closed at start (nothing reachable) carry no
-        # watermark and correctly report zero sources.
+        # (MM, during _handle_reply) or at close (IM, inside the base's
+        # _complete_round).  Rounds that closed at start (nothing
+        # reachable) carry no watermark and correctly report zero sources.
+        stats = self.server.stats
+        watermark = self._source_watermark
         sources = 0
         inconsistencies = 0
         if watermark is not None and watermark[0] == round_.round_id:
-            sources = self.stats.replies_handled - watermark[1]
-            inconsistencies = self.stats.inconsistencies - watermark[2]
+            sources = stats.replies_handled - watermark[1]
+            inconsistencies = stats.inconsistencies - watermark[2]
             self._source_watermark = None
-        now_local = self.clock_value()
+        now_local = self.server.clock_value()
         self._drive(
             lambda: self.holdover.note_round(
                 now_local,
                 sources=sources,
                 consistent=(sources > 0 and inconsistencies == 0),
-                error=self.error(),
+                error=self.server.error(),
                 drift=self.effective_drift_estimate(),
             )
         )
 
     # ------------------------------------------------------------ discipline
 
-    def _discipline_step(self) -> None:
-        if self.holdover.state is not HoldoverState.SYNCED:
-            return  # holdover freezes the servo at its last correction
-        if self.clock.slewing:
-            return  # a draining offset would bias every rate estimate
-        super()._discipline_step()
+    def _servo_frozen(self) -> bool:
+        # Holdover freezes the servo at its last correction, and a
+        # draining offset would bias every rate estimate.
+        return (
+            self.holdover.state is not HoldoverState.SYNCED
+            or self.server.clock.slewing
+        )
 
     # ---------------------------------------------------------------- resets
 
-    def _apply_reset(self, decision, kind: str) -> None:
-        if kind in ("sync", "recovery"):
-            current = self.clock.read(self.now)
-            if abs(decision.clock_value - current) > self.clock.sanity_bound:
-                # Refused before any bookkeeping: ε, r_i, the epoch and
-                # the raw-timescale adjustment all stay untouched.  The
-                # clock still sees the set so its own rail counter trips.
-                self.clock.set(self.now, decision.clock_value)
-                self.holdover_stats.insane_resets += 1
-                self._trace(
-                    "reset_refused",
-                    from_server=decision.source,
-                    new_value=decision.clock_value,
-                    reset_kind=kind,
-                )
-                return
-            if self.holdover.state is not HoldoverState.SYNCED:
-                # Staged reintegration: re-validate before trusting.  The
-                # claimed interval stays correct (MM-1 growth never
-                # paused), so skipping the adoption loses accuracy only.
-                self.holdover_stats.suppressed_resets += 1
-                self._trace(
-                    "reset_suppressed",
-                    from_server=decision.source,
-                    reset_kind=kind,
-                    state=self.holdover.state.name,
-                )
-                return
-        super()._apply_reset(decision, kind)
-        pending = self.clock.slew_remaining
-        if pending != 0.0:
-            # The reading sits |pending| short of the adopted target
-            # until the slew drains; widen ε so the interval still
-            # contains true time throughout the drain.
-            self._epsilon += abs(pending)
+    def before_reset(self, decision, kind: str) -> bool:
+        """Refuse insane resets and suppress resets while not SYNCED."""
+        if kind not in ("sync", "recovery"):
+            return False
+        server = self.server
+        current = server.clock.read(server.now)
+        if abs(decision.clock_value - current) > server.clock.sanity_bound:
+            # Refused before any bookkeeping: ε, r_i, the epoch and
+            # the raw-timescale adjustment all stay untouched.  The
+            # clock still sees the set so its own rail counter trips.
+            server.clock.set(server.now, decision.clock_value)
+            self.holdover_stats.insane_resets += 1
+            server._trace(
+                "reset_refused",
+                from_server=decision.source,
+                new_value=decision.clock_value,
+                reset_kind=kind,
+            )
+            return True
+        if self.holdover.state is not HoldoverState.SYNCED:
+            # Staged reintegration: re-validate before trusting.  The
+            # claimed interval stays correct (MM-1 growth never
+            # paused), so skipping the adoption loses accuracy only.
+            self.holdover_stats.suppressed_resets += 1
+            server._trace(
+                "reset_suppressed",
+                from_server=decision.source,
+                reset_kind=kind,
+                state=self.holdover.state.name,
+            )
+            return True
+        return False
 
     # ---------------------------------------------------------------- serving
 
-    def _answer(self, request: TimeRequest) -> None:
-        if (
+    def before_answer(self, request: TimeRequest) -> bool:
+        """Refuse client requests with BUSY while DEGRADED."""
+        if not (
             self.holdover.state is HoldoverState.DEGRADED
             and request.kind is RequestKind.CLIENT
         ):
-            # Past the trust horizon the oscillator model is no longer
-            # trusted for clients; polls/recovery stay answered (MM-1
-            # keeps those replies correct, and an all-degraded
-            # neighbourhood must still be able to reintegrate).
-            self.holdover_stats.degraded_refusals += 1
-            retry = self.holdover_config.retry_after or (self.tau or 60.0)
-            self.network.send(
-                self.name,
-                request.origin,
+            return False
+        # Past the trust horizon the oscillator model is no longer
+        # trusted for clients; polls/recovery stay answered (MM-1
+        # keeps those replies correct, and an all-degraded
+        # neighbourhood must still be able to reintegrate).
+        server = self.server
+        self.holdover_stats.degraded_refusals += 1
+        retry = self.holdover_config.retry_after or (server.tau or 60.0)
+        server.network.send(
+            server.name,
+            request.origin,
+            server._prepare_reply(
                 TimeReply(
                     request_id=request.request_id,
-                    server=self.name,
+                    server=server.name,
                     destination=request.origin,
                     clock_value=0.0,
                     error=0.0,
                     kind=request.kind,
-                    delta=self.delta,
+                    delta=server.delta,
                     status=ReplyStatus.BUSY,
                     retry_after=retry,
-                ),
-            )
-            return
-        super()._answer(request)
-
-    # ---------------------------------------------------- discipline persist
-
-    def _checkpoint_extras(self) -> dict:
-        extras = super()._checkpoint_extras()
-        extras["discipline"] = self._encode_discipline()
-        return extras
-
-    def _encode_discipline(self) -> str:
-        """Serialise the servo state into the checkpoint's blob field.
-
-        ``correction~name:delta:t,o,e;t,o,e~name:...`` — none of the
-        separators may appear in a float ``repr``, and neighbours whose
-        names collide with them are skipped rather than corrupting the
-        record.
-        """
-        parts = [repr(float(self.clock.correction))]
-        for name in sorted(self._estimators):
-            if _RESERVED & set(name):
-                continue
-            estimator = self._estimators[name]
-            observations = ";".join(
-                f"{o.local_time!r},{o.offset!r},{o.reading_error!r}"
-                for o in estimator._obs
-            )
-            delta = self._remote_delta.get(name, 0.0)
-            parts.append(f"{name}:{delta!r}:{observations}")
-        return "~".join(parts)
-
-    def _restore_checkpoint_extras(self, checkpoint: Checkpoint) -> None:
-        super()._restore_checkpoint_extras(checkpoint)
-        blob = getattr(checkpoint, "discipline", "")
-        if not blob:
-            return
-        try:
-            self._decode_discipline(blob)
-        except (ValueError, IndexError):
-            # A garbled extras field never blocks the warm restart — the
-            # MM-1 core state was already validated by the store's CRC;
-            # the servo just relearns.
-            self.clock.adjust_rate(self.now, 0.0)
-            self._estimators.clear()
-            self._remote_delta.clear()
-
-    def _decode_discipline(self, blob: str) -> None:
-        parts = blob.split("~")
-        correction = float(parts[0])
-        self.clock.adjust_rate(self.now, correction)
-        for entry in parts[1:]:
-            name, delta_text, observations = entry.split(":", 2)
-            estimator = RateEstimator(
-                window=self._rate_window, min_span=self._rate_min_span
-            )
-            if observations:
-                for triple in observations.split(";"):
-                    t_text, o_text, e_text = triple.split(",")
-                    estimator.add(
-                        RateObservation(
-                            local_time=float(t_text),
-                            offset=float(o_text),
-                            reading_error=float(e_text),
-                        )
-                    )
-            self._estimators[name] = estimator
-            self._remote_delta[name] = float(delta_text)
+                )
+            ),
+        )
+        return True

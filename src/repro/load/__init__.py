@@ -8,7 +8,7 @@ crowd without losing the synchronization that makes them a time service:
   queue, per-class accounting;
 * :mod:`repro.load.admission` — token-bucket admission, pluggable
   shedding policies, queue-delay EWMA overload detection;
-* :mod:`repro.load.server` — :class:`LoadAwareServer`, whose degraded
+* :mod:`repro.load.server` — :class:`LoadStage`, whose degraded
   mode sheds *precision* instead of availability (a stale ``⟨C, E⟩``
   with ``E`` inflated by ``age/(1 − δ)`` still contains true time);
 * :mod:`repro.load.client` — :class:`ResilientTimeClient`: retries with
@@ -45,7 +45,7 @@ from .client import (
     ResilienceStats,
     ResilientTimeClient,
 )
-from .server import LoadAwareServer, LoadPolicy, LoadStats
+from .server import LoadPolicy, LoadStage, LoadStats
 from .workload import FlashCrowdProfile, WorkloadGenerator
 
 __all__ = [
@@ -57,8 +57,8 @@ __all__ = [
     "DeadlineAwareShed",
     "DropTail",
     "FlashCrowdProfile",
-    "LoadAwareServer",
     "LoadPolicy",
+    "LoadStage",
     "LoadStats",
     "OverloadConfig",
     "OverloadDetector",

@@ -1,6 +1,6 @@
 """Admission control: token buckets, shedding policies, overload detection.
 
-Three independent mechanisms a :class:`~repro.load.server.LoadAwareServer`
+Three independent mechanisms a :class:`~repro.load.server.LoadStage`
 composes, all deterministic under a seeded RNG stream:
 
 * :class:`TokenBucket` — the admission limiter at the door.  Client-plane

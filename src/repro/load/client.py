@@ -21,7 +21,7 @@ servers can shed, degrade, or stall:
   drop.
 
 DEGRADED replies are accepted as answers: their interval is wider but —
-by construction (:meth:`repro.load.server.LoadAwareServer
+by construction (:meth:`repro.load.server.LoadStage
 ._answer_degraded`) — still contains true time.
 """
 

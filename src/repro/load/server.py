@@ -1,6 +1,6 @@
 """A time server with a finite request path.
 
-:class:`LoadAwareServer` wraps :class:`~repro.service.server.TimeServer`'s
+:class:`LoadStage` wraps :class:`~repro.service.server.TimeServer`'s
 message handling in the capacity model of :mod:`repro.load.capacity`:
 every delivered message enters a bounded run queue and costs simulated
 CPU before it is processed.  On top of that physics it layers the
@@ -21,7 +21,7 @@ defences from :mod:`repro.load.admission`:
   which provably still contains true time — no reset intervened,
   because resets refresh the cache.
 
-The *plain* arm of the flash-crowd experiment is this same server with
+The *plain* arm of the flash-crowd experiment is this same stage with
 every defence disabled (:meth:`LoadPolicy.plain`): a single FIFO queue
 with drop-tail overflow and no BUSY replies — the realistic baseline
 whose poll rounds a client crowd can starve.
@@ -36,7 +36,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..service.messages import ReplyStatus, RequestKind, TimeReply, TimeRequest
-from ..service.server import TimeServer
+from ..service.server import Stage, TimeServer
 from ..telemetry.registry import CounterBackedStats, CounterField
 from .admission import (
     OverloadConfig,
@@ -51,7 +51,7 @@ from .capacity import CapacityConfig, QueuedItem, RequestQueue, ServiceClass
 
 @dataclass(frozen=True)
 class LoadPolicy:
-    """Which overload defences a :class:`LoadAwareServer` runs.
+    """Which overload defences a :class:`LoadStage` runs.
 
     Attributes:
         admission: Token-bucket config gating client-plane arrivals; None
@@ -109,27 +109,27 @@ class LoadStats(CounterBackedStats):
     sync_drops = CounterField("Sync-plane arrivals lost to a full queue")
 
 
-class LoadAwareServer(TimeServer):
-    """A :class:`TimeServer` whose requests cost CPU and may be shed.
+class LoadStage(Stage):
+    """Makes a server's requests cost CPU, and sheds them under overload.
+
+    Every delivered message is taken over (queued) here and handed to
+    the server's own ``on_message`` once its service time has been paid.
 
     Args:
         capacity: The service-time/queue physics (required).
         load_policy: The defence configuration; defaults to everything on.
-        load_rng: RNG stream for the random shedding policy's draws; only
+        rng: RNG stream for the random shedding policy's draws; only
             needed when ``load_policy.shedding == "random"``.
-
-    All other arguments are :class:`~repro.service.server.TimeServer`'s.
     """
+
+    exports = ("queue", "bucket", "detector", "load_stats")
 
     def __init__(
         self,
-        *args,
         capacity: CapacityConfig,
         load_policy: Optional[LoadPolicy] = None,
-        load_rng: Optional[np.random.Generator] = None,
-        **kwargs,
+        rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__(*args, **kwargs)
         self.capacity = capacity
         self.load_policy = load_policy if load_policy is not None else LoadPolicy()
         self.queue = RequestQueue(capacity.queue_limit, capacity.prioritized)
@@ -146,39 +146,37 @@ class LoadAwareServer(TimeServer):
             if self.load_policy.overload is not None
             else None
         )
-        self.load_stats = LoadStats(self.telemetry.stats_registry())
-        self._load_rng = load_rng
+        self._rng = rng
         self._cpu_busy = False
         # The degraded-mode cache: the last fresh ⟨C, E⟩ this server
         # computed, keyed by the local clock reading at that instant.
         self._cache: Optional[tuple[float, float]] = None
 
+    def attach(self, server: TimeServer) -> None:
+        super().attach(server)
+        self.load_stats = LoadStats(server.telemetry.stats_registry())
+
     # ------------------------------------------------------------- lifecycle
 
-    def on_start(self) -> None:
-        super().on_start()
+    def after_start(self) -> None:
         self._refresh_cache()
 
-    def leave(self) -> None:
+    def before_leave(self) -> None:
         # Drain the queue: a departed server answers nothing.
         while self.queue.pop() is not None:
             pass
-        super().leave()
 
     # ----------------------------------------------------------- degradation
 
     def _refresh_cache(self) -> None:
-        value, error = self.report()
-        self._cache = (value, error)
+        self._cache = self.server.report()
 
-    def _apply_reset(self, decision, kind: str) -> None:
-        super()._apply_reset(decision, kind)
+    def after_reset(self, decision, kind: str) -> None:
         # A reset may move the clock backward; the cache's age arithmetic
         # assumes a monotone clock since the cache was taken, so retake it.
         self._refresh_cache()
 
-    def _answer(self, request: TimeRequest) -> None:
-        super()._answer(request)
+    def after_answer(self, request: TimeRequest) -> None:
         # Answering computed a fresh report anyway — keep the cache warm.
         self._refresh_cache()
         if request.kind is RequestKind.CLIENT:
@@ -199,28 +197,29 @@ class LoadAwareServer(TimeServer):
         not.  Note ``δ/(1 − δ)``, not ``δ`` — the latter under-covers.
         """
         assert self._cache is not None
+        server = self.server
         value, error = self._cache
-        age = max(0.0, self.clock_value() - value)
+        age = max(0.0, server.clock_value() - value)
         served = value + age
-        if self.delta < 1.0:
-            inflated = error + age * self.delta / (1.0 - self.delta)
+        if server.delta < 1.0:
+            inflated = error + age * server.delta / (1.0 - server.delta)
         else:  # a claimed drift ≥ 100% makes local age meaningless
             inflated = math.inf
-        self.stats.requests_answered += 1
+        server.stats.requests_answered += 1
         self.load_stats.degraded_replies += 1
-        if served - inflated <= self.now <= served + inflated:
+        if served - inflated <= server.now <= served + inflated:
             self.load_stats.degraded_correct += 1
         reply = TimeReply(
             request_id=request.request_id,
-            server=self.name,
+            server=server.name,
             destination=request.origin,
             clock_value=served,
             error=inflated,
             kind=request.kind,
-            delta=self.delta,
+            delta=server.delta,
             status=ReplyStatus.DEGRADED,
         )
-        self.network.send(self.name, request.origin, reply)
+        server.network.send(server.name, request.origin, server._prepare_reply(reply))
 
     def _send_busy(self, request: TimeRequest) -> None:
         """Refuse a client request, cheaply.
@@ -233,25 +232,28 @@ class LoadAwareServer(TimeServer):
         if not self.load_policy.busy_replies:
             self.load_stats.shed_silent += 1
             return
+        server = self.server
         self.load_stats.busy_replies += 1
         hint = (
-            self.bucket.retry_after(self.now) if self.bucket is not None else 0.0
+            self.bucket.retry_after(server.now) if self.bucket is not None else 0.0
         )
-        reply = TimeReply(
-            request_id=request.request_id,
-            server=self.name,
-            destination=request.origin,
-            clock_value=0.0,
-            error=math.inf,
-            kind=request.kind,
-            delta=self.delta,
-            status=ReplyStatus.BUSY,
-            retry_after=hint,
+        reply = server._prepare_reply(
+            TimeReply(
+                request_id=request.request_id,
+                server=server.name,
+                destination=request.origin,
+                clock_value=0.0,
+                error=math.inf,
+                kind=request.kind,
+                delta=server.delta,
+                status=ReplyStatus.BUSY,
+                retry_after=hint,
+            )
         )
         origin = request.origin
-        self.call_after(
+        server.call_after(
             self.capacity.busy_time,
-            lambda: self.network.send(self.name, origin, reply),
+            lambda: server.network.send(server.name, origin, reply),
         )
 
     # --------------------------------------------------------- request path
@@ -267,15 +269,16 @@ class LoadAwareServer(TimeServer):
             return ServiceClass.POLL
         return None
 
-    def on_message(self, message, sender) -> None:
-        if self._departed:
-            return
+    def before_message(self, message, sender) -> bool:
+        """Queue the delivery; always takes it over from the server."""
+        if self.server.departed:
+            return True
         service_class = self._classify(message)
         if service_class is None:
-            return
+            return True
         if service_class is ServiceClass.CLIENT:
             if not self._admit_client(message):
-                return
+                return True
         elif self.queue.full:
             evicted = (
                 self.queue.evict_youngest_client()
@@ -287,7 +290,7 @@ class LoadAwareServer(TimeServer):
                 # the priority queue + eviction exist to prevent.
                 self.queue.note_overflow(service_class)
                 self.load_stats.sync_drops += 1
-                return
+                return True
             self.load_stats.sync_evictions += 1
             if isinstance(evicted.message, TimeRequest):
                 self._send_busy(evicted.message)
@@ -296,22 +299,24 @@ class LoadAwareServer(TimeServer):
                 service_class=service_class,
                 message=message,
                 sender=sender,
-                arrived=self.now,
+                arrived=self.server.now,
             )
         )
         self._pump()
+        return True
 
     def _admit_client(self, message: Any) -> bool:
         """Run a client-plane arrival through the bucket and the shedder."""
+        now = self.server.now
         is_request = isinstance(message, TimeRequest)
         if (
             is_request
             and self.bucket is not None
-            and not self.bucket.try_admit(self.now)
+            and not self.bucket.try_admit(now)
         ):
             self._send_busy(message)
             return False
-        if not self.shedder.admit(self.queue, self.now, self._load_rng):
+        if not self.shedder.admit(self.queue, now, self._rng):
             self.queue.note_overflow(ServiceClass.CLIENT)
             if is_request:
                 self._send_busy(message)
@@ -329,7 +334,7 @@ class LoadAwareServer(TimeServer):
             return
         self._cpu_busy = True
         if self.detector is not None:
-            self.detector.observe(item.waited(self.now))
+            self.detector.observe(item.waited(self.server.now))
         degraded = (
             self.detector is not None
             and self.detector.overloaded
@@ -340,14 +345,16 @@ class LoadAwareServer(TimeServer):
         cost = (
             self.capacity.degraded_time if degraded else self.capacity.service_time
         )
-        self.call_after(cost, lambda: self._finish_service(item, degraded))
+        self.server.call_after(cost, lambda: self._finish_service(item, degraded))
 
     def _finish_service(self, item: QueuedItem, degraded: bool) -> None:
         self._cpu_busy = False
-        if not self._departed:
+        server = self.server
+        if not server.departed:
             if degraded:
                 self._answer_degraded(item.message)
             else:
-                # The paper's full message handling, paid for in CPU time.
-                super().on_message(item.message, item.sender)
+                # The paper's full message handling, paid for in CPU time:
+                # the class's method, past this stage's own takeover.
+                type(server).on_message(server, item.message, item.sender)
         self._pump()

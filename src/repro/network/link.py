@@ -14,7 +14,7 @@ fault-free runs are bit-identical with or without the hooks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,15 +12,15 @@ Three layers on top of the paper's Section 3 rule:
   "any third server" so partitioned groups re-merge instead of
   re-poisoning each other.
 
-:class:`~repro.recovery.server.SelfStabilizingServer` wires all three
-into the polling server; the builder enables it per-spec with
+:class:`~repro.recovery.server.StabilizingStage` wires all three
+into the polling server; the builder attaches it per-spec with
 ``ServerSpec(self_stabilizing=True)``.
 """
 
 from __future__ import annotations
 
 from .census import CensusEntry, ConsistencyCensus
-from .server import RestartReport, SelfStabilizingServer
+from .server import RestartReport, StabilizingStage
 from .stabilizer import (
     SelfStabilizingRecovery,
     StabilizerConfig,
@@ -34,9 +34,9 @@ __all__ = [
     "ConsistencyCensus",
     "RestartReport",
     "SelfStabilizingRecovery",
-    "SelfStabilizingServer",
     "StabilizerConfig",
     "StabilizerStats",
+    "StabilizingStage",
     "StableStore",
     "StoreStats",
 ]

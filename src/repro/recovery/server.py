@@ -1,8 +1,8 @@
 """A time server with durable state, a live census, and merge epochs.
 
-:class:`SelfStabilizingServer` is the integration point of the recovery
-subsystem.  On top of :class:`~repro.service.rate_tracking.
-RateTrackingServer` (whose Section 5 consonance machinery the stabilizer's
+:class:`StabilizingStage` is the integration point of the recovery
+subsystem.  Over a :class:`~repro.service.rate_tracking.
+RateTrackingStage` (whose Section 5 consonance machinery the stabilizer's
 veto needs) it adds:
 
 * **Checkpointing** — every ``checkpoint_period`` local seconds the MM-1
@@ -35,7 +35,8 @@ from typing import Dict, List, Optional
 
 from ..core.sync import Reply
 from ..service.messages import TimeReply
-from ..service.rate_tracking import RateTrackingServer
+from ..service.rate_tracking import RateTrackingStage
+from ..service.server import Stage, TimeServer
 from .census import ConsistencyCensus
 from .stabilizer import StabilizerConfig
 from .store import Checkpoint, StableStore
@@ -65,48 +66,47 @@ class RestartReport:
     correct: bool
 
 
-class SelfStabilizingServer(RateTrackingServer):
-    """A rate-tracking server wired into the recovery subsystem.
+class StabilizingStage(Stage):
+    """Wires a rate-tracking server into the recovery subsystem.
 
-    Accepts all :class:`RateTrackingServer` arguments plus:
+    Needs a :class:`~repro.service.rate_tracking.RateTrackingStage`
+    earlier in the stage list.  The merge epoch and the local time of
+    the last merge are rebound as the server runs, so they live on the
+    server itself: ``server.epoch``, ``server.last_merge_local``.
 
     Args:
         store: The shared simulated stable store (one per service).
-        stabilizer_config: Subsystem knobs; also consumed by a bound
+        config: Subsystem knobs; also consumed by a bound
             :class:`~repro.recovery.stabilizer.SelfStabilizingRecovery`.
             Defaults to :class:`StabilizerConfig`'s defaults.
     """
 
+    exports = ("census", "epoch_of", "restart_reports", "crash", "restart")
+
     def __init__(
-        self,
-        *args,
-        store: StableStore,
-        stabilizer_config: Optional[StabilizerConfig] = None,
-        **kwargs,
+        self, store: StableStore, config: Optional[StabilizerConfig] = None
     ) -> None:
-        super().__init__(*args, **kwargs)
         self._store = store
-        self._config = (
-            stabilizer_config if stabilizer_config is not None else StabilizerConfig()
+        self.stabilizer_config = (
+            config if config is not None else StabilizerConfig()
         )
-        self.census = ConsistencyCensus(
-            owner=self.name, horizon=self._config.census_horizon
-        )
-        self.epoch = 0
-        self.last_merge_local: Optional[float] = None
         self.restart_reports: List[RestartReport] = []
         self._neighbour_epochs: Dict[str, int] = {}
         self._checkpoint_seq = 0
         self._pending_arbiter_epoch: Optional[int] = None
-        # A bindable strategy (SelfStabilizingRecovery) gets its server.
-        bind = getattr(self.recovery, "bind", None)
-        if callable(bind):
-            bind(self)
 
-    @property
-    def stabilizer_config(self) -> StabilizerConfig:
-        """The subsystem configuration this server runs with."""
-        return self._config
+    def attach(self, server: TimeServer) -> None:
+        super().attach(server)
+        self.rates = self.need(RateTrackingStage)
+        self.census = ConsistencyCensus(
+            owner=server.name, horizon=self.stabilizer_config.census_horizon
+        )
+        server.epoch = 0
+        server.last_merge_local = None
+        # A bindable strategy (SelfStabilizingRecovery) gets its server.
+        bind = getattr(server.recovery, "bind", None)
+        if callable(bind):
+            bind(server)
 
     def epoch_of(self, neighbour: str) -> int:
         """The neighbour's last gossiped merge epoch (0 when unheard)."""
@@ -114,25 +114,20 @@ class SelfStabilizingServer(RateTrackingServer):
 
     # ------------------------------------------------------------ lifecycle
 
-    def on_start(self) -> None:
-        super().on_start()
+    def after_start(self) -> None:
         self._schedule_checkpoints()
 
     def _schedule_checkpoints(self) -> None:
-        self.every(
-            self._config.checkpoint_period,
-            self._write_checkpoint,
-            first_at=self.now + self._config.checkpoint_period,
+        period = self.stabilizer_config.checkpoint_period
+        self.server.every(
+            period, self._write_checkpoint, first_at=self.server.now + period
         )
 
-    def rejoin(self, initial_error: float) -> None:
-        was_departed = self.departed
-        super().rejoin(initial_error)
+    def after_rejoin(self, initial_error: float) -> None:
         # leave()/crash() cancelled every periodic task, including the
         # checkpointer; polling is re-armed by the base rejoin, the
         # checkpointer here.
-        if was_departed and not self.departed:
-            self._schedule_checkpoints()
+        self._schedule_checkpoints()
 
     # --------------------------------------------------------- checkpointing
 
@@ -145,67 +140,51 @@ class SelfStabilizingServer(RateTrackingServer):
         (conservative) bound on our own skew; otherwise the local clock is
         behaving and 0.0 — i.e. the claimed δ — is the right inflation.
         """
-        if not self.self_suspect():
+        if not self.rates.self_suspect():
             return 0.0
         rates = [
             abs(report.estimate.rate)
-            for report in self.rate_reports().values()
+            for report in self.rates.rate_reports().values()
             if report.consonant is False and report.estimate is not None
         ]
         return max(rates, default=0.0)
 
     def _write_checkpoint(self) -> None:
-        if self.departed:
+        server = self.server
+        if server.departed:
             return
-        value, error = self.report()
+        value, error = server.report()
         self._checkpoint_seq += 1
+        extras: dict = {}
+        for stage in server.stages:
+            extras.update(stage.checkpoint_fields())
         self._store.write(
             Checkpoint(
-                server=self.name,
+                server=server.name,
                 clock_value=value,
                 error=error,
                 rate_estimate=self._own_rate_estimate(),
-                epoch=self.epoch,
+                epoch=server.epoch,
                 sequence=self._checkpoint_seq,
-                **self._checkpoint_extras(),
+                **extras,
             )
         )
-        self._trace("checkpoint", clock_value=value, error=error)
-        self.telemetry.checkpoint(self.now)
-
-    def _checkpoint_extras(self) -> dict:
-        """Hook: extra :class:`Checkpoint` fields to persist.
-
-        The base recovery server persists only the MM-1 state;
-        :class:`~repro.byzantine.server.ByzantineTolerantServer` adds its
-        reputation blob and fault budget here.
-        """
-        return {}
-
-    def _restore_checkpoint_extras(self, checkpoint: Checkpoint) -> None:
-        """Hook: restore the extras after a successful warm restart."""
-
-    def falseticker_neighbours(self) -> tuple[str, ...]:
-        """Neighbours currently classified falsetickers (none here).
-
-        The stabilizer's arbiter vetting consults this on every recovery;
-        the Byzantine server overrides it with its reputation verdicts.
-        """
-        return ()
+        server._trace("checkpoint", clock_value=value, error=error)
+        server.telemetry.checkpoint(server.now)
 
     # --------------------------------------------------------- crash/restart
 
     def crash(self) -> None:
         """Abrupt kill: stop serving and polling; the clock keeps drifting.
 
-        Unlike a graceful :meth:`leave`, a crash is what the checkpoint
+        Unlike a graceful ``leave``, a crash is what the checkpoint
         subsystem exists for — the last durable state is whatever the
         periodic checkpointer managed to persist.
         """
-        if self.departed:
+        if self.server.departed:
             return
-        self._trace("crash")
-        self.leave()
+        self.server._trace("crash")
+        self.server.leave()
 
     def restart(self, cold_error: float) -> Optional[RestartReport]:
         """Come back from a crash, warm if the stable store allows it.
@@ -219,58 +198,58 @@ class SelfStabilizingServer(RateTrackingServer):
             The :class:`RestartReport` for this revival, or None if the
             server was not down.
         """
-        if not self.departed:
+        server = self.server
+        if not server.departed:
             return None
-        checkpoint = self._store.read(self.name)
-        now_local = self.clock.read(self.now)
-        warm = False
+        checkpoint = self._store.read(server.name)
+        now_local = server.clock.read(server.now)
         downtime_local = 0.0
         if checkpoint is not None:
             downtime_local = now_local - checkpoint.clock_value
-            if 0.0 <= downtime_local <= self._config.checkpoint_stale_after:
-                # ρ·downtime inflation: the clock drifted at most
-                # max(δ, measured |skew|) per local second while down.
-                rho = max(self.delta, abs(checkpoint.rate_estimate))
-                rebuilt = checkpoint.error + downtime_local * rho
-                self.rejoin(rebuilt)
-                self.epoch = checkpoint.epoch
-                self._restore_checkpoint_extras(checkpoint)
-                warm = True
-        if not warm:
+            if not (
+                0.0 <= downtime_local <= self.stabilizer_config.checkpoint_stale_after
+            ):
+                checkpoint = None
+        if checkpoint is not None:
+            # ρ·downtime inflation: the clock drifted at most
+            # max(δ, measured |skew|) per local second while down.
+            rho = max(server.delta, abs(checkpoint.rate_estimate))
+            server.rejoin(checkpoint.error + downtime_local * rho)
+            server.epoch = checkpoint.epoch
+        else:
             downtime_local = 0.0
-            self.rejoin(cold_error)
+            server.rejoin(cold_error)
+        for stage in server.stages:
+            stage.restore_checkpoint(checkpoint)
         report = RestartReport(
-            server=self.name,
-            at=self.now,
-            warm=warm,
+            server=server.name,
+            at=server.now,
+            warm=checkpoint is not None,
             downtime_local=downtime_local,
-            rebuilt_error=self.epsilon,
-            correct=self.is_correct(),
+            rebuilt_error=server.epsilon,
+            correct=server.is_correct(),
         )
         self.restart_reports.append(report)
-        self._trace(
+        server._trace(
             "restart",
-            warm=warm,
+            warm=report.warm,
             rebuilt_error=report.rebuilt_error,
             correct=report.correct,
         )
-        self.telemetry.restart(self.now, warm)
-        self.telemetry.epoch(self.epoch)
+        server.telemetry.restart(server.now, report.warm)
+        server.telemetry.epoch(server.epoch)
         return report
 
     # ------------------------------------------------------- census plumbing
 
-    def _reply_extras(self) -> dict:
-        now_local = self.clock_value()
-        return {
-            "epoch": self.epoch,
-            "verdicts": self.census.export(now_local),
-        }
+    def _reply_extras(self, extras: dict) -> dict:
+        extras["epoch"] = self.server.epoch
+        extras["verdicts"] = self.census.export(self.server.clock_value())
+        return extras
 
     def _observe_reply(
         self, reply: TimeReply, rtt_local: float, local_now: float
     ) -> None:
-        super()._observe_reply(reply, rtt_local, local_now)
         self._neighbour_epochs[reply.server] = reply.epoch
         self.census.merge(reply.verdicts, local_now)
         # Direct verdict: same consistency judgment the policies use —
@@ -281,32 +260,28 @@ class SelfStabilizingServer(RateTrackingServer):
             error=reply.error,
             rtt_local=rtt_local,
         )
-        ok = judged.transit_interval(self.delta).intersects(
-            self.local_state().interval
+        ok = judged.transit_interval(self.server.delta).intersects(
+            self.server.local_state().interval
         )
         self.census.observe(reply.server, ok, local_now)
 
     # ---------------------------------------------------------------- merges
 
-    def _handle_recovery_reply(self, reply: TimeReply) -> None:
+    def before_recovery_reply(self, reply: TimeReply) -> None:
+        # The arbiter's epoch, for the merge the base may be about to apply.
         self._pending_arbiter_epoch = reply.epoch
         self._neighbour_epochs[reply.server] = reply.epoch
-        try:
-            super()._handle_recovery_reply(reply)
-        finally:
-            self._pending_arbiter_epoch = None
 
-    def _apply_reset(self, decision, kind: str) -> None:
-        super()._apply_reset(decision, kind)
+    def after_reset(self, decision, kind: str) -> None:
         if kind != "recovery":
             return
-        peer_epoch = (
-            self._pending_arbiter_epoch
-            if self._pending_arbiter_epoch is not None
-            else self.epoch
-        )
-        self.epoch = max(self.epoch, peer_epoch) + 1
-        self.last_merge_local = self.clock_value()
-        self.telemetry.merge(self.now, self.epoch)
+        server = self.server
+        peer_epoch = self._pending_arbiter_epoch
+        self._pending_arbiter_epoch = None
+        if peer_epoch is None:
+            peer_epoch = server.epoch
+        server.epoch = max(server.epoch, peer_epoch) + 1
+        server.last_merge_local = server.clock_value()
+        server.telemetry.merge(server.now, server.epoch)
         # A merge is a state the group must not lose to a crash.
         self._write_checkpoint()

@@ -30,7 +30,7 @@ of the codebase already computes:
    disagree for a round or two.
 
 The strategy must be :meth:`bound <SelfStabilizingRecovery.bind>` to its
-:class:`~repro.recovery.server.SelfStabilizingServer`; unbound it behaves
+server (:class:`~repro.recovery.server.StabilizingStage` does it); unbound it behaves
 exactly like the fixed :class:`~repro.core.recovery.ThirdServerRecovery`.
 """
 

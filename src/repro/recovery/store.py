@@ -28,7 +28,7 @@ mismatch, forcing the restarting server into the cold-start bootstrap
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 
@@ -57,8 +57,8 @@ class Checkpoint:
             server runs no budget controller).
         discipline: The clock-discipline servo's serialised state (rate
             correction plus the per-neighbour rate-estimator windows; see
-            :meth:`~repro.holdover.server.HoldoverServer.
-            _checkpoint_extras`); empty for servers without one.  Carried
+            :meth:`~repro.service.discipline.DisciplineStage.
+            checkpoint_fields`); empty for servers without one.  Carried
             so a warm restart resumes holdover-quality timekeeping
             instead of relearning the oscillator from scratch.
     """

@@ -4,11 +4,11 @@
 the cluster: a :class:`~repro.runtime.engine.WallClockEngine` on the
 cluster's shared monotonic epoch, a
 :class:`~repro.runtime.transport.UdpTransport` bound to the node's port,
-and the *unmodified* policy stack — plain
-:class:`~repro.service.server.TimeServer`,
-:class:`~repro.service.hardening.HardenedTimeServer`, or
-:class:`~repro.security.server.AuthenticatedTimeServer` — polling
-neighbours with rule MM-2 over real datagrams.
+and the *unmodified* policy stack — a
+:class:`~repro.service.server.TimeServer`, plain or carrying the
+:class:`~repro.service.hardening.HardeningStage` and
+:class:`~repro.security.server.SecurityStage` — polling neighbours with
+rule MM-2 over real datagrams.
 
 Two live-plane additions:
 
@@ -16,9 +16,10 @@ Two live-plane additions:
   time through a :class:`~repro.clocks.slewing.SlewingClock`, so a reset
   is *applied* gradually.  Until the slew drains, the displayed clock
   differs from the policy's target by up to ``slew_remaining``; the
-  ``_SlewAwareMixin`` charges that pending correction to ``ε_i`` at
-  reset time (the same pattern as the holdover subsystem), keeping the
-  advertised interval a true bound *during* the slew.
+  :class:`~repro.service.server.SlewRail` stage charges that pending
+  correction to ``ε_i`` at reset time (the same rail the holdover
+  subsystem rides), keeping the advertised interval a true bound
+  *during* the slew.
 * **Live invariant probes** — a periodic engine task checks, against the
   shared true-time axis, that rule MM-1 holds (``|C_i(t) − t| ≤ E_i(t)``
   within a read-skew slack) and that the displayed clock never runs
@@ -47,9 +48,9 @@ from ..clocks.drift import DriftingClock
 from ..clocks.slewing import SlewingClock
 from ..core.mm import MMPolicy
 from ..security.auth import Keyring
-from ..security.server import AuthenticatedTimeServer, SecurityConfig
-from ..service.hardening import HardenedTimeServer
-from ..service.server import TimeServer
+from ..security.server import SecurityConfig, SecurityStage
+from ..service.hardening import hardening_stages
+from ..service.server import SlewRail, TimeServer
 from ..telemetry.exporters import to_prometheus_text
 from ..telemetry.instruments import ServiceTelemetry
 from .engine import WallClockEngine
@@ -60,25 +61,6 @@ __all__ = ["LiveNode", "build_node", "load_config", "run_node"]
 #: Allowance for the non-atomic read of (clock, axis) in a probe and for
 #: float noise — far below any injected fault (tamper offsets are ~0.3 s).
 PROBE_SLACK = 1e-3
-
-
-class _SlewAwareMixin:
-    """Charge pending slew to ``ε_i`` at reset (cf. holdover server)."""
-
-    def _apply_reset(self, *args, **kwargs):
-        result = super()._apply_reset(*args, **kwargs)
-        pending = getattr(self.clock, "slew_remaining", 0.0)
-        if pending:
-            self._epsilon += abs(pending)
-        return result
-
-
-class LiveHardenedServer(_SlewAwareMixin, HardenedTimeServer):
-    """Hardened server with slew-honest MM-1 accounting."""
-
-
-class LiveAuthenticatedServer(_SlewAwareMixin, AuthenticatedTimeServer):
-    """Authenticated + hardened server with slew-honest MM-1 accounting."""
 
 
 class InvariantProbe:
@@ -201,35 +183,31 @@ class LiveNode:
 
     def _build_server(self) -> TimeServer:
         cfg = self.config
-        common = dict(
+        if self.kind not in ("plain", "hardened", "authenticated"):
+            raise ValueError(f"unknown node kind {self.kind!r}")
+        clock = self._build_clock()
+        stages = []
+        if self.kind != "plain":
+            rng = np.random.default_rng(int(cfg.get("seed", 0)))
+            stages += hardening_stages(rng=rng)
+        if self.kind == "authenticated":
+            keyring = Keyring.from_secret(cfg.get("secret", "repro-live"))
+            stages.append(SecurityStage(SecurityConfig(keyring=keyring)))
+        if hasattr(clock, "slew_remaining"):
+            stages.append(SlewRail())
+        return TimeServer(
+            self.engine,
+            self.name,
+            clock,
+            float(cfg.get("delta", 1e-4)),
+            self.transport,
+            MMPolicy(),
+            float(cfg.get("tau", 0.75)),
             initial_error=float(cfg.get("initial_error", 0.05)),
             first_poll_at=self.engine.now + float(cfg.get("poll_phase", 0.25)),
             telemetry=self.telemetry.server(self.name),
+            stages=stages,
         )
-        clock = self._build_clock()
-        delta = float(cfg.get("delta", 1e-4))
-        tau = float(cfg.get("tau", 0.75))
-        policy = MMPolicy()
-        if self.kind == "plain":
-            return TimeServer(
-                self.engine, self.name, clock, delta, self.transport,
-                policy, tau, **common,
-            )
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
-        if self.kind == "hardened":
-            return LiveHardenedServer(
-                self.engine, self.name, clock, delta, self.transport,
-                policy, tau, hardening_rng=rng, **common,
-            )
-        if self.kind == "authenticated":
-            security = SecurityConfig(
-                keyring=Keyring.from_secret(cfg.get("secret", "repro-live"))
-            )
-            return LiveAuthenticatedServer(
-                self.engine, self.name, clock, delta, self.transport,
-                policy, tau, hardening_rng=rng, security=security, **common,
-            )
-        raise ValueError(f"unknown node kind {self.kind!r}")
 
     # --------------------------------------------------------- control plane
 

@@ -48,7 +48,7 @@ class LiveLink:
 
     Duck-types the two attributes the security layer's delay guard reads
     from a simulator :class:`~repro.network.link.Link` — ``delay`` and
-    ``reverse_delay`` — so :meth:`AuthenticationMixin._link_delay_models`
+    ``reverse_delay`` — so :meth:`SecurityStage._link_delay_models`
     works unchanged against real sockets.
     """
 

@@ -12,9 +12,9 @@ clocks, but nothing defended the wire.  This package closes that gap:
 * :mod:`~repro.security.delayguard` — delay-attack detection against
   the link's declared :class:`~repro.network.delay.DelayModel` physics,
   widening the adopted interval when a suspect transit is tolerated.
-* :mod:`~repro.security.server` — the :class:`AuthenticatedTimeServer`
-  / :class:`AuthenticatedByzantineServer` composition wiring the three
-  guards into the hardened/Byzantine validation and quarantine stack.
+* :mod:`~repro.security.server` — :class:`SecurityStage`, wiring the
+  three guards into any server and their rejections into the
+  hardening/Byzantine quarantine stack.
 """
 
 from .auth import (
@@ -26,17 +26,10 @@ from .auth import (
 )
 from .delayguard import DelayGuard, DelayVerdict
 from .replay import ReplayGuard, ReplayVerdict
-from .server import (
-    AuthenticatedByzantineServer,
-    AuthenticatedTimeServer,
-    SecurityConfig,
-    SecurityStats,
-)
+from .server import SecurityConfig, SecurityStage, SecurityStats
 
 __all__ = [
     "AuthVerdict",
-    "AuthenticatedByzantineServer",
-    "AuthenticatedTimeServer",
     "DelayGuard",
     "DelayVerdict",
     "Keyring",
@@ -44,6 +37,7 @@ __all__ = [
     "ReplayGuard",
     "ReplayVerdict",
     "SecurityConfig",
+    "SecurityStage",
     "SecurityStats",
     "canonical_decode",
     "canonical_encode",

@@ -291,6 +291,11 @@ class MessageAuthenticator:
         self.keyring = keyring
         self._seq = 0
 
+    @property
+    def signed(self) -> int:
+        """How many messages this instance has signed."""
+        return self._seq
+
     def _mac(self, key_id: int, seq: int, payload: bytes) -> Optional[str]:
         key = self.keyring.key(key_id)
         if key is None:

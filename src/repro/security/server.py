@@ -1,6 +1,6 @@
 """Authenticated time servers: the security layer composed into the stack.
 
-:class:`AuthenticationMixin` threads the three guards through the
+:class:`SecurityStage` threads the three guards through the
 :class:`~repro.service.server.TimeServer` security hooks:
 
 * outgoing requests and replies are signed (:meth:`_prepare_request` /
@@ -14,11 +14,13 @@
   signature), then the MAC, then the replay window, then the declared
   delay ceiling (reject or widen per configuration).
 
-Every security rejection feeds the same neighbour-health machinery the
-hardened/Byzantine layers use: repeated failures decay the peer's health
+Every security rejection goes down the server's one rejection path
+(:meth:`~repro.service.server.TimeServer._peer_rejected`), the same one
+failed reply validation takes: repeated failures decay the peer's health
 score into quarantine, and on a Byzantine-tolerant server they also
-register falseticker evidence — in-flight corruption is treated as part
-of the Byzantine threat model, not a separate concern.
+register falseticker evidence — an on-path adversary corrupting a
+peer's link is indistinguishable, from the victim's seat, from that
+peer lying, and the defence is the same.
 """
 
 from __future__ import annotations
@@ -26,22 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..byzantine.server import ByzantineTolerantServer
 from ..network.delay import DelayModel
-from ..service.hardening import HardenedTimeServer
 from ..service.messages import RequestKind, TimeReply, TimeRequest
+from ..service.server import Stage, TimeServer
 from ..telemetry.registry import CounterBackedStats, CounterField
 from .auth import Keyring, MessageAuthenticator
 from .delayguard import DelayGuard
 from .replay import ReplayGuard
 
-__all__ = [
-    "AuthenticatedByzantineServer",
-    "AuthenticatedTimeServer",
-    "AuthenticationMixin",
-    "SecurityConfig",
-    "SecurityStats",
-]
+__all__ = ["SecurityConfig", "SecurityStage", "SecurityStats"]
 
 
 @dataclass
@@ -91,31 +86,37 @@ class SecurityStats(CounterBackedStats):
     )
 
 
-class AuthenticationMixin:
-    """Mixin adding MAC + replay + delay-guard enforcement to a server.
+class SecurityStage(Stage):
+    """MAC + replay + delay-guard enforcement, as a server stage.
 
-    Must precede a :class:`~repro.service.server.TimeServer` subclass in
-    the MRO.  Accepts one extra keyword argument, ``security``.
+    Args:
+        config: The security knobs; None uses :class:`SecurityConfig`
+            defaults.  Servers that must talk share one config (and so
+            one keyring).
     """
 
-    def __init__(self, *args, security: Optional[SecurityConfig] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.security = security if security is not None else SecurityConfig()
+    exports = ("security", "security_stats", "authenticator", "rotate_key")
+
+    def __init__(self, config: Optional[SecurityConfig] = None) -> None:
+        self.security = config if config is not None else SecurityConfig()
         self.authenticator = MessageAuthenticator(self.security.keyring)
         self._request_replay = ReplayGuard(self.security.replay_window)
         self._reply_replay = ReplayGuard(self.security.replay_window)
         self._link_models: dict = {}
-        self.security_stats = SecurityStats(self.telemetry.stats_registry())
+
+    def attach(self, server: TimeServer) -> None:
+        super().attach(server)
+        registry = server.telemetry.stats_registry()
+        self.security_stats = SecurityStats(registry)
         self._delay_guard = (
             DelayGuard(
-                self.delta,
+                server.delta,
                 mode=self.security.delay_mode,
                 slack=self.security.delay_slack,
             )
             if self.security.delay_guard
             else None
         )
-        registry = self.telemetry.stats_registry()
         self._key_epoch_gauge = (
             registry.gauge(
                 "repro_security_key_epoch",
@@ -136,16 +137,15 @@ class AuthenticationMixin:
         new_id = self.security.keyring.rotate()
         if self._key_epoch_gauge is not None:
             self._key_epoch_gauge.set(float(self.security.keyring.epoch))
-        self._trace("key_rotation", key_id=new_id)
+        self.server._trace("key_rotation", key_id=new_id)
         return new_id
 
     # ------------------------------------------------------------ signing
 
     def _prepare_request(self, request: TimeRequest) -> TimeRequest:
-        return self.authenticator.sign(super()._prepare_request(request))
+        return self.authenticator.sign(request)
 
     def _prepare_reply(self, reply: TimeReply) -> TimeReply:
-        reply = super()._prepare_reply(reply)
         if (
             reply.kind is RequestKind.CLIENT
             and not self.security.authenticate_clients
@@ -158,36 +158,14 @@ class AuthenticationMixin:
 
     # -------------------------------------------------------- enforcement
 
-    def _note_security_rejection(self, peer: str, reason: str) -> None:
-        """Feed a security rejection into health/reputation quarantine.
-
-        Duck-typed against whichever stack this mixin sits on: the
-        hardened server exposes ``hardening.quarantine``, the Byzantine
-        server ``byzantine.quarantine`` plus a reputation tracker.
-        """
-        self._trace("security_rejection", server=peer, reason=reason)
-        reputation = getattr(self, "reputation", None)
-        if reputation is not None:
-            reputation.observe_validation_failure(peer)
-        byzantine = getattr(self, "byzantine", None)
-        policy = None
-        if byzantine is not None:
-            policy = byzantine.quarantine
-            demote = self._note_demotion
-        else:
-            hardening = getattr(self, "hardening", None)
-            if hardening is not None:
-                policy = hardening.quarantine
-                demote = self._note_quarantine
-        if policy is not None and self._health(peer).record_invalid(
-            self.now, policy
-        ):
-            demote(peer)
+    def _reject(self, peer: str, reason: str) -> str:
+        """Trace a security rejection and feed it into the server's one
+        rejection path (peer health, falseticker evidence)."""
+        self.server._trace("security_rejection", server=peer, reason=reason)
+        self.server._peer_rejected(peer)
+        return reason
 
     def _admit_request(self, request: TimeRequest) -> Optional[str]:
-        refusal = super()._admit_request(request)
-        if refusal is not None:
-            return refusal
         cfg = self.security
         if not cfg.require_auth:
             return None
@@ -196,13 +174,11 @@ class AuthenticationMixin:
         verdict = self.authenticator.verify(request)
         if verdict != "ok":
             self.security_stats.auth_failures += 1
-            self._note_security_rejection(request.origin, f"auth:{verdict}")
-            return f"auth:{verdict}"
+            return self._reject(request.origin, f"auth:{verdict}")
         freshness = self._request_replay.admit(request.origin, request.auth[1])
         if freshness != "ok":
             self.security_stats.replay_drops += 1
-            self._note_security_rejection(request.origin, f"replay:{freshness}")
-            return f"replay:{freshness}"
+            return self._reject(request.origin, f"replay:{freshness}")
         return None
 
     def _link_delay_models(
@@ -217,12 +193,13 @@ class AuthenticationMixin:
         cached = self._link_models.get(peer)
         if cached is not None:
             return cached
+        name = self.server.name
         try:
-            link = self.network.link(self.name, peer)
+            link = self.server.network.link(name, peer)
         except KeyError:
             return None, None  # uncached: the link may appear later
         reverse = link.reverse_delay if link.reverse_delay is not None else link.delay
-        if min(self.name, peer) == self.name:
+        if min(name, peer) == name:
             models = (link.delay, reverse)  # we are the forward direction
         else:
             models = (reverse, link.delay)
@@ -232,9 +209,6 @@ class AuthenticationMixin:
     def _admit_reply(
         self, reply: TimeReply, rtt_local: float
     ) -> tuple[Optional[str], float]:
-        rejection, widen = super()._admit_reply(reply, rtt_local)
-        if rejection is not None:
-            return rejection, widen
         cfg = self.security
         judged = None
         if self._delay_guard is not None:
@@ -245,43 +219,24 @@ class AuthenticationMixin:
             # (cached genuine data pre-played with a rewritten header).
             if judged.verdict == "too-fast":
                 self.security_stats.delay_attack_detections += 1
-                self._note_security_rejection(reply.server, "delay:too-fast")
-                return "delay:too-fast", 0.0
+                return self._reject(reply.server, "delay:too-fast"), 0.0
         if cfg.require_auth:
             verdict = self.authenticator.verify(reply)
             if verdict != "ok":
                 self.security_stats.auth_failures += 1
-                self._note_security_rejection(reply.server, f"auth:{verdict}")
-                return f"auth:{verdict}", 0.0
+                return self._reject(reply.server, f"auth:{verdict}"), 0.0
             freshness = self._reply_replay.admit(reply.server, reply.auth[1])
             if freshness != "ok":
                 self.security_stats.replay_drops += 1
-                self._note_security_rejection(
-                    reply.server, f"replay:{freshness}"
-                )
-                return f"replay:{freshness}", 0.0
+                return self._reject(reply.server, f"replay:{freshness}"), 0.0
         if judged is not None:
             if judged.verdict == "beyond-bound":
                 self.security_stats.delay_attack_detections += 1
-                self._note_security_rejection(reply.server, "delay:beyond-bound")
-                return "delay:beyond-bound", 0.0
+                return self._reject(reply.server, "delay:beyond-bound"), 0.0
             if judged.widen > 0.0:
                 self.security_stats.delay_widens += 1
-                self._trace(
+                self.server._trace(
                     "delay_widen", server=reply.server, widen=judged.widen
                 )
-                widen += judged.widen
-        return None, widen
-
-
-class AuthenticatedTimeServer(AuthenticationMixin, HardenedTimeServer):
-    """A hardened server whose wire messages are authenticated."""
-
-
-class AuthenticatedByzantineServer(AuthenticationMixin, ByzantineTolerantServer):
-    """A Byzantine-tolerant server whose wire messages are authenticated.
-
-    Security rejections register falseticker evidence: an on-path
-    adversary corrupting a peer's link is indistinguishable, from the
-    victim's seat, from that peer lying — and the defense is the same.
-    """
+                return None, judged.widen
+        return None, 0.0

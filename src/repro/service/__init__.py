@@ -10,21 +10,25 @@ from .builder import (
     build_service,
 )
 from .churn import ChurnController, ChurnStats
-from .discipline import DiscipliningServer
+from .discipline import DisciplineStage
 from .client import ClientResult, QueryStrategy, TimeClient
 from .messages import ReplyStatus, RequestKind, TimeReply, TimeRequest
-from .rate_tracking import NeighbourRateReport, RateTrackingServer
+from .rate_tracking import NeighbourRateReport, RateTrackingStage
 from .reference import ReferenceServer
-from .server import ServerStats, TimeServer
+from .server import HOOKS, Hook, ServerStats, SlewRail, Stage, TimeServer
 from .validation import Finding, Severity, validate_specs
 
 __all__ = [
     "ChurnController",
     "ChurnStats",
     "ClientResult",
-    "DiscipliningServer",
+    "DisciplineStage",
+    "HOOKS",
+    "Hook",
     "NeighbourRateReport",
-    "RateTrackingServer",
+    "RateTrackingStage",
+    "SlewRail",
+    "Stage",
     "ClockFactory",
     "PolicyFactory",
     "QueryStrategy",

@@ -9,12 +9,12 @@ needs (snapshots, error/asynchronism metrics, grid sampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import networkx as nx
 
-from ..byzantine.server import ByzantineConfig, ByzantineTolerantServer
+from ..byzantine.server import ByzantineConfig, ByzantineStage
 from ..clocks.base import Clock
 from ..clocks.disciplined import DisciplinedClock
 from ..clocks.drift import DriftingClock
@@ -23,13 +23,13 @@ from ..core.intervals import TimeInterval, intersect_all
 from ..core.recovery import RecoveryStrategy
 from ..core.sync import SynchronizationPolicy
 from ..holdover.controller import HoldoverConfig
-from ..holdover.server import HoldoverServer
+from ..holdover.server import HoldoverStage
 from ..load.capacity import CapacityConfig
 from ..load.client import ResilienceConfig, ResilientTimeClient
-from ..load.server import LoadAwareServer, LoadPolicy
+from ..load.server import LoadPolicy, LoadStage
 from ..network.delay import DelayModel, UniformDelay
 from ..network.transport import Network
-from ..recovery.server import SelfStabilizingServer
+from ..recovery.server import StabilizingStage
 from ..recovery.stabilizer import StabilizerConfig
 from ..recovery.store import StableStore
 from ..simulation.engine import SimulationEngine
@@ -37,11 +37,14 @@ from ..simulation.rng import RngRegistry
 from ..simulation.trace import TraceRecorder
 from ..telemetry.instruments import NULL_SERVICE_TELEMETRY, ServiceTelemetry
 from .client import TimeClient
-from .discipline import DiscipliningServer
-from .hardening import HardenedTimeServer, HardeningConfig
-from .rate_tracking import RateTrackingServer
+from .discipline import DisciplineStage
+from .hardening import HardeningConfig, HardeningStage, PeerHealth
+from .rate_tracking import RateTrackingStage
 from .reference import ReferenceServer
-from .server import TimeServer
+from .server import SlewRail, Stage, TimeServer
+
+if TYPE_CHECKING:  # repro.security imports this package
+    from ..security.server import SecurityConfig
 
 #: Builds a clock for a server, given the registry and the server's name
 #: (so stochastic clocks can claim a dedicated stream).
@@ -69,30 +72,33 @@ class ServerSpec:
             perfect clock); ``initial_error`` becomes the receiver error.
         polls: Whether the server runs synchronization rounds (reference
             servers never do).
-        rate_tracking: Build a
-            :class:`~repro.service.rate_tracking.RateTrackingServer`
-            (Section 5 consonance machinery) instead of a plain server.
+        rate_tracking: Attach a
+            :class:`~repro.service.rate_tracking.RateTrackingStage`
+            (Section 5 consonance machinery).
         discipline: Wrap the clock in a
-            :class:`~repro.clocks.disciplined.DisciplinedClock` and build a
-            :class:`~repro.service.discipline.DiscipliningServer` that
-            trims its own frequency from the measured neighbour rates
-            (implies ``rate_tracking``).
-        self_stabilizing: Build a
-            :class:`~repro.recovery.server.SelfStabilizingServer`
+            :class:`~repro.clocks.disciplined.DisciplinedClock` and attach
+            a :class:`~repro.service.discipline.DisciplineStage` that
+            trims the server's own frequency from the measured neighbour
+            rates (implies ``rate_tracking``).
+        self_stabilizing: Attach a
+            :class:`~repro.recovery.server.StabilizingStage`
             (checkpointing, consistency census, merge epochs — implies
             ``rate_tracking``); all such servers share the service's
             :class:`~repro.recovery.store.StableStore`.
-        byzantine_tolerant: Build a
-            :class:`~repro.byzantine.server.ByzantineTolerantServer`
+        byzantine_tolerant: Attach a
+            :class:`~repro.byzantine.server.ByzantineStage`
             (implies ``self_stabilizing``); pair it with an
             :class:`~repro.core.ft_im.FTIMPolicy` via ``policy_factory``
             to get classification-driven reputation.
-        holdover: Build a :class:`~repro.holdover.server.HoldoverServer`
+        holdover: Attach a :class:`~repro.holdover.server.HoldoverStage`
             (implies ``discipline`` and ``self_stabilizing``): the clock
             is stacked as a :class:`~repro.clocks.slewing.SlewingClock`
             over a :class:`DisciplinedClock`, and the server runs the
             SYNCED → HOLDOVER → DEGRADED → REINTEGRATING machine.  Knobs
             come from ``build_service``'s ``holdover`` config.
+
+    The flags compose: every capability asked for is attached, in the
+    fixed order of :func:`build_service`'s stage table (DESIGN.md §2.1).
     """
 
     name: str
@@ -308,7 +314,7 @@ def build_service(
     load_policy: Optional[LoadPolicy] = None,
     telemetry: Optional[ServiceTelemetry] = None,
     holdover: Optional[HoldoverConfig] = None,
-    security: Optional["SecurityConfig"] = None,
+    security: Optional[SecurityConfig] = None,
 ) -> SimulatedService:
     """Assemble a :class:`SimulatedService`.
 
@@ -331,11 +337,11 @@ def build_service(
         start: Start all servers immediately.
         stagger_polls: Give each server a deterministic phase offset so
             rounds do not all fire at the same instant.
-        hardening: When set, plain polling servers are built as
-            :class:`~repro.service.hardening.HardenedTimeServer` with this
+        hardening: When set, every polling server carries a
+            :class:`~repro.service.hardening.HardeningStage` with this
             configuration (reply validation, retries, adaptive timeouts,
-            neighbour quarantine).  Reference, rate-tracking and
-            disciplining servers are unaffected.
+            neighbour quarantine).  Answer-only servers have no replies
+            to harden against and are unaffected.
         stabilizer: Recovery-subsystem knobs for servers with
             ``self_stabilizing=True`` (checkpoint cadence, census
             horizon, merge hysteresis); None uses
@@ -344,12 +350,11 @@ def build_service(
             ``byzantine_tolerant=True`` (reputation, demotion, reply
             validation); None uses
             :class:`~repro.byzantine.server.ByzantineConfig` defaults.
-        capacity: When set, plain servers are built as
-            :class:`~repro.load.server.LoadAwareServer` with this
+        capacity: When set, every non-reference server carries a
+            :class:`~repro.load.server.LoadStage` with this
             service-time/queue model — requests cost simulated CPU and
-            may be shed.  Not yet composable with hardening, recovery or
-            Byzantine server classes (those keep the paper's infinite
-            capacity); reference servers are unaffected.
+            may be shed.  Reference servers keep the paper's infinite
+            capacity.
         load_policy: Overload defences for capacity-model servers
             (admission bucket, shedding policy, degraded mode); None
             uses :class:`~repro.load.server.LoadPolicy` defaults
@@ -363,21 +368,21 @@ def build_service(
             reintegration rounds, slew rate, panic/sanity bounds); None
             uses :class:`~repro.holdover.controller.HoldoverConfig`
             defaults.
-        security: When set, polling servers are built authenticated
-            (:class:`~repro.security.server.AuthenticatedTimeServer`, or
-            :class:`~repro.security.server.AuthenticatedByzantineServer`
-            for ``byzantine_tolerant`` specs) sharing this config's
-            keyring: signed requests/replies, per-peer replay windows,
-            and the delay guard.  Composable with hardening and the
-            Byzantine layer; not yet with holdover/discipline/
-            rate-tracking/capacity servers or reference servers (their
-            replies would be unsigned and refused).
+        security: When set, every server — reference servers included,
+            or their unsigned answers would be refused — carries a
+            :class:`~repro.security.server.SecurityStage` sharing this
+            config's keyring: signed requests/replies, per-peer replay
+            windows, and the delay guard.  A polling server with no
+            other capability also gets default hardening (the guards'
+            rejections need a peer-health book to land in).
 
     Returns:
         The wired service (engine at ``t = 0``).
 
     Raises:
         ValueError: On duplicate/missing names or conflicting policy args.
+        TypeError: When a ``discipline`` spec's clock factory yields a
+            clock that is not rate-adjustable.
     """
     if policy is not None and policy_factory is not None:
         raise ValueError("pass either policy or policy_factory, not both")
@@ -430,93 +435,105 @@ def build_service(
     ):
         stable_store = StableStore()
     holdover_cfg = holdover if holdover is not None else HoldoverConfig()
+    if security is not None:
+        # Imported here: repro.security imports this package.
+        from ..security.server import SecurityStage
+
+    def stages_for(spec: ServerSpec, clock: Optional[Clock], polls: bool) -> List[Stage]:
+        """The one table from a spec's flags and this call's configs to
+        the server's ordered stage list (first = innermost).
+
+        Every capability asked for is attached; none excludes another.
+        Read backwards the list is a message's path through the server —
+        admission/capacity, authentication/replay/delay guard, reply
+        validation + peer health, then the feedback layers — except
+        where the class tower this replaced fixed an order that trace
+        digests or ``metrics.prom`` depend on (rate tracking inside
+        stabilisation inside discipline inside holdover; hardening's
+        counter families registered before security's).
+        """
+        if spec.reference:
+            # Answer-only on a perfect clock: nothing to track, steer or
+            # checkpoint, whatever else the row says.
+            spec = ServerSpec(spec.name, reference=True)
+        stabilizing = spec.self_stabilizing or spec.byzantine_tolerant or spec.holdover
+        disciplined = spec.discipline or spec.holdover
+        tracking = spec.rate_tracking or disciplined or stabilizing
+        hardening_cfg, byzantine_cfg = hardening, byzantine
+        if security is not None and hardening is None and not tracking:
+            # The guards' rejections need a peer-health book to land in.
+            hardening_cfg = HardeningConfig()
+        # Hardening defends the replies a server polls for; an
+        # answer-only server receives none.
+        hardened = polls and hardening_cfg is not None
+        quarantine = hardening_cfg.quarantine if hardened else None
+        if spec.byzantine_tolerant:
+            byzantine_cfg = byzantine if byzantine is not None else ByzantineConfig()
+            quarantine = byzantine_cfg.quarantine
+            if hardened and byzantine_cfg.error_physics:
+                # The MM-1 growth clamp keeps per-neighbour strike state,
+                # so it must judge each reply once: the Byzantine stage's.
+                hardening_cfg = replace(hardening_cfg, error_physics=False)
+        table = (
+            (tracking, RateTrackingStage),
+            (stabilizing, lambda: StabilizingStage(stable_store, stabilizer)),
+            (disciplined, DisciplineStage),
+            (hardened or spec.byzantine_tolerant, lambda: PeerHealth(quarantine)),
+            (spec.byzantine_tolerant, lambda: ByzantineStage(byzantine_cfg)),
+            (spec.holdover, lambda: HoldoverStage(holdover_cfg)),
+            (
+                hardened,
+                lambda: HardeningStage(
+                    hardening_cfg, rng.stream(f"hardening/{spec.name}")
+                ),
+            ),
+            (security is not None, lambda: SecurityStage(security)),
+            # Derived from the clock, not selected: whoever drains resets
+            # gradually owes ε the pending remainder.  Behind every stage
+            # that checkpoints or gates a reset, ahead of the load
+            # stage's report cache.
+            (hasattr(clock, "slew_remaining"), SlewRail),
+            (
+                capacity is not None and not spec.reference,
+                lambda: LoadStage(
+                    capacity, load_policy, rng.stream(f"load/{spec.name}")
+                ),
+            ),
+        )
+        return [build() for wanted, build in table if wanted]
+
     for spec in specs:
+        server_policy = policies[spec.name]
+        clock: Optional[Clock] = None  # a reference server brings its own
+        if not spec.reference:
+            if spec.clock_factory is not None:
+                clock = spec.clock_factory(rng, spec.name)
+            else:
+                clock = DriftingClock(spec.skew, epoch=0.0, initial=0.0)
+            if spec.discipline or spec.holdover:
+                clock = DisciplinedClock(clock)
+            if spec.holdover:
+                clock = SlewingClock(
+                    clock,
+                    slew_rate=holdover_cfg.slew_rate,
+                    panic_threshold=holdover_cfg.panic_threshold,
+                    sanity_bound=holdover_cfg.sanity_bound,
+                )
+        common = dict(
+            trace=trace,
+            telemetry=service_telemetry.server(spec.name),
+            stages=stages_for(spec, clock, server_policy is not None),
+        )
         if spec.reference:
             server: TimeServer = ReferenceServer(
                 engine,
                 spec.name,
                 network,
                 receiver_error=spec.initial_error,
-                trace=trace,
-                telemetry=service_telemetry.server(spec.name),
+                **common,
             )
         else:
-            if spec.clock_factory is not None:
-                clock = spec.clock_factory(rng, spec.name)
-            else:
-                clock = DriftingClock(spec.skew, epoch=0.0, initial=0.0)
-            server_policy = policies[spec.name]
-            recovery = recovery_factory(spec.name) if recovery_factory else None
-            extra = {}
-            if spec.holdover:
-                clock = SlewingClock(
-                    DisciplinedClock(clock),
-                    slew_rate=holdover_cfg.slew_rate,
-                    panic_threshold=holdover_cfg.panic_threshold,
-                    sanity_bound=holdover_cfg.sanity_bound,
-                )
-                server_class = HoldoverServer
-                extra = {
-                    "store": stable_store,
-                    "stabilizer_config": stabilizer,
-                    "holdover": holdover_cfg,
-                }
-            elif spec.discipline:
-                clock = DisciplinedClock(clock)
-                server_class = DiscipliningServer
-            elif spec.byzantine_tolerant:
-                server_class = ByzantineTolerantServer
-                extra = {
-                    "store": stable_store,
-                    "stabilizer_config": stabilizer,
-                    "byzantine": byzantine,
-                }
-                if security is not None:
-                    from ..security.server import AuthenticatedByzantineServer
-
-                    server_class = AuthenticatedByzantineServer
-                    extra["security"] = security
-            elif spec.self_stabilizing:
-                server_class = SelfStabilizingServer
-                extra = {
-                    "store": stable_store,
-                    "stabilizer_config": stabilizer,
-                }
-            elif spec.rate_tracking:
-                server_class = RateTrackingServer
-            elif security is not None and server_policy is not None:
-                from ..security.server import AuthenticatedTimeServer
-
-                server_class = AuthenticatedTimeServer
-                extra = {
-                    "hardening": hardening if hardening is not None else HardeningConfig(),
-                    "hardening_rng": rng.stream(f"hardening/{spec.name}"),
-                    "security": security,
-                }
-            elif hardening is not None and server_policy is not None:
-                server_class = HardenedTimeServer
-                extra = {
-                    "hardening": hardening,
-                    "hardening_rng": rng.stream(f"hardening/{spec.name}"),
-                }
-            elif capacity is not None:
-                server_class = LoadAwareServer
-                extra = {
-                    "capacity": capacity,
-                    "load_policy": load_policy,
-                    "load_rng": rng.stream(f"load/{spec.name}"),
-                }
-            else:
-                server_class = TimeServer
-            if capacity is not None and server_class not in (
-                LoadAwareServer,
-                TimeServer,
-            ):
-                raise ValueError(
-                    "capacity is not yet composable with hardened, "
-                    "rate-tracking, self-stabilizing or Byzantine servers"
-                )
-            server = server_class(
+            server = TimeServer(
                 engine,
                 spec.name,
                 clock,
@@ -526,11 +543,9 @@ def build_service(
                 tau=tau if server_policy is not None else None,
                 initial_error=spec.initial_error,
                 round_timeout=round_timeout,
-                recovery=recovery,
-                trace=trace,
+                recovery=recovery_factory(spec.name) if recovery_factory else None,
                 first_poll_at=phase.get(spec.name),
-                telemetry=service_telemetry.server(spec.name),
-                **extra,
+                **common,
             )
         network.register(server)
         servers[spec.name] = server

@@ -82,7 +82,7 @@ class ChurnController(SimProcess):
         mean_downtime: float = 120.0,
         rejoin_error: float = 1.0,
         min_alive: int = 2,
-        fault_schedule: Optional["FaultSchedule"] = None,
+        fault_schedule: Optional[FaultSchedule] = None,
         fault_margin: float = 0.0,
     ) -> None:
         super().__init__(engine, "churn")

@@ -4,7 +4,8 @@ The paper's servers trust each other completely: every ``⟨C_j, E_j⟩``
 reply reaches the synchronization policy, every lost poll is simply waited
 out, and a neighbour that keeps feeding garbage keeps being polled
 forever.  That is fine for proving theorems and fatal in production.
-:class:`HardenedTimeServer` layers four defences on top of the base
+:class:`HardeningStage` (with the :class:`PeerHealth` book it scores
+neighbours in) layers four defences on top of the base
 :class:`~repro.service.server.TimeServer` without changing the algorithms
 themselves:
 
@@ -37,19 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..clocks.base import Clock
-from ..core.recovery import RecoveryStrategy
-from ..core.sync import SynchronizationPolicy
-from ..network.transport import Network
-from ..simulation.engine import SimulationEngine
-from ..simulation.trace import TraceRecorder
 from ..telemetry.registry import CounterBackedStats, CounterField
 from .messages import RequestKind, TimeReply, TimeRequest
-from .server import TimeServer, _PollRound
+from .server import Stage, TimeServer, _PollRound
 
 
 @dataclass(frozen=True)
@@ -223,10 +218,10 @@ def reply_sanity_rejection(
     max_error: float,
     plausibility_slack: float,
 ) -> Optional[str]:
-    """The shared reply sanity checks (hardened and Byzantine servers).
+    """The shared reply sanity checks (hardening and Byzantine stages).
 
     Returns None to accept or a short reason string.  Pure function of
-    the reply and the local view, so any server class can reuse it.
+    the reply and the local view, so any stage can reuse it.
     """
     if not math.isfinite(reply.clock_value):
         return "non-finite clock value"
@@ -250,40 +245,33 @@ def reply_sanity_rejection(
     return None
 
 
-def quarantine_poll_filter(
-    neighbours: Sequence[str],
-    health_of: Callable[[str], "NeighbourHealth"],
-    now: float,
-    policy: QuarantinePolicy,
-) -> tuple[List[str], List[str]]:
-    """Shared poll-target filtering with the starvation guard.
+def validation_rejection(server: TimeServer, reply: TimeReply, cfg) -> Optional[str]:
+    """Reply validation as the hardening and Byzantine stages both run it.
 
-    Releases due quarantines, drops benched neighbours, and re-admits
-    the healthiest benched ones when fewer than ``min_peers`` remain.
-
-    Returns:
-        ``(active, readmitted)`` — the names to poll, and the subset of
-        them the starvation guard forced back in.
+    The sanity checks (``cfg.validate``), then the rule MM-1 growth
+    clamp (``cfg.error_physics``; see :meth:`~repro.service.server.
+    TimeServer._error_physics_rejection`).  ``cfg`` is either stage's
+    config — the four knobs carry the same names in both.
     """
-    for name in neighbours:
-        health_of(name).release_if_due(now, policy)
-    active = [
-        name for name in neighbours if not health_of(name).is_quarantined(now)
-    ]
-    floor = min(policy.min_peers, len(neighbours))
-    readmitted: List[str] = []
-    if len(active) < floor:
-        benched = sorted(
-            (name for name in neighbours if name not in active),
-            key=lambda name: (-health_of(name).score, name),
+    reason = None
+    if cfg.validate:
+        value, error = server.report()
+        reason = reply_sanity_rejection(
+            reply,
+            local_value=value,
+            local_error=error,
+            delta=server.delta,
+            xi=server.network.xi,
+            max_error=cfg.max_error,
+            plausibility_slack=cfg.plausibility_slack,
         )
-        readmitted = benched[: floor - len(active)]
-        active = sorted(active + readmitted)
-    return active, readmitted
+    if reason is None and cfg.error_physics:
+        reason = server._error_physics_rejection(reply)
+    return reason
 
 
 class HardeningStats(CounterBackedStats):
-    """Counters the hardened server adds on top of ``ServerStats``.
+    """Counters the hardening stage adds on top of ``ServerStats``.
 
     Registry-backed (see :class:`~repro.telemetry.registry.
     CounterBackedStats`): the attributes still read and ``+=`` like the
@@ -301,125 +289,159 @@ class HardeningStats(CounterBackedStats):
     starvation_overrides = CounterField("Quarantined peers re-admitted")
 
 
-class HardenedTimeServer(TimeServer):
-    """A :class:`TimeServer` with the production armour described above.
+class PeerHealth(Stage):
+    """One server's peer-health book: a score per neighbour.
 
-    Args (beyond :class:`TimeServer`'s):
-        hardening: The knob bundle; defaults to :class:`HardeningConfig()`.
-        hardening_rng: Random stream for retry jitter.  None disables
-            jitter (retries stay deterministic).
+    Shared by every stage that rewards or penalises peers (so hardening
+    and Byzantine tolerance on one server keep a single score per
+    neighbour).  The book itself does what must happen once per event
+    whoever is listening: filter the poll set through the starvation
+    guard, penalise the peers a closed round never heard from, and
+    decay a rejected peer's score.  The stages that *report* — how a
+    bench is counted and traced — register in :attr:`reporters`.
+
+    Args:
+        policy: The quarantine policy; None keeps the book but never
+            scores or benches anybody.
     """
 
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        name: str,
-        clock: Clock,
-        delta: float,
-        network: Network,
-        policy: Optional[SynchronizationPolicy] = None,
-        tau: Optional[float] = None,
-        *,
-        initial_error: float = 0.0,
-        round_timeout: Optional[float] = None,
-        recovery: Optional[RecoveryStrategy] = None,
-        trace: Optional[TraceRecorder] = None,
-        poll_jitter=None,
-        first_poll_at: Optional[float] = None,
-        hardening: Optional[HardeningConfig] = None,
-        hardening_rng: Optional[np.random.Generator] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            engine,
-            name,
-            clock,
-            delta,
-            network,
-            policy,
-            tau,
-            initial_error=initial_error,
-            round_timeout=round_timeout,
-            recovery=recovery,
-            trace=trace,
-            poll_jitter=poll_jitter,
-            first_poll_at=first_poll_at,
-            **kwargs,
-        )
-        self.hardening = hardening if hardening is not None else HardeningConfig()
-        self._hrng = hardening_rng
+    exports = ("health", "quarantined_peers")
+
+    def __init__(self, policy: Optional[QuarantinePolicy]) -> None:
+        self.policy = policy
         self.health: Dict[str, NeighbourHealth] = {}
-        self.hardening_stats = HardeningStats(self.telemetry.stats_registry())
-        self._rtt_ewma: Optional[float] = None
-        self._rtt_dev = 0.0
-        self._recovery_attempts = 0
+        #: Stages with ``peer_benched(name)`` / ``peers_readmitted(n)``.
+        self.reporters: list = []
 
-    # ------------------------------------------------------------- health
-
-    def _health(self, name: str) -> NeighbourHealth:
+    def of(self, name: str) -> NeighbourHealth:
+        """The (created-on-demand) record for ``name``."""
         if name not in self.health:
             self.health[name] = NeighbourHealth()
         return self.health[name]
 
     def quarantined_peers(self) -> List[str]:
         """Neighbours currently benched."""
+        now = self.server.now
         return sorted(
             name
             for name, record in self.health.items()
-            if record.is_quarantined(self.now)
+            if record.is_quarantined(now)
         )
 
-    def active_peers(self) -> List[str]:
-        """The neighbours the next round would poll (post-quarantine)."""
-        return self._poll_targets()
+    def benched(self, name: str) -> bool:
+        """Whether ``name`` sits out right now."""
+        return self.policy is not None and self.of(name).is_quarantined(
+            self.server.now
+        )
 
-    def _note_quarantine(self, name: str) -> None:
-        self.hardening_stats.quarantines += 1
-        self._trace("quarantine", server=name)
+    def good(self, name: str) -> None:
+        """Reward a peer for a good reply."""
+        if self.policy is not None:
+            self.of(name).record_good(self.policy)
 
-    # ------------------------------------------------------ poll targeting
+    def inconsistent(self, name: str) -> None:
+        """Penalise a peer an inconsistency was attributed to."""
+        if self.policy is not None and self.of(name).record_inconsistent(
+            self.server.now, self.policy
+        ):
+            self._report_bench(name)
 
-    def _poll_targets(self) -> list[str]:
-        neighbours = super()._poll_targets()
-        quarantine = self.hardening.quarantine
-        if quarantine is None:
+    def _report_bench(self, name: str) -> None:
+        for reporter in self.reporters:
+            reporter.peer_benched(name)
+
+    # ------------------------------------------------------------ hooks
+
+    def _poll_targets(self, neighbours: list[str]) -> list[str]:
+        """Release due quarantines, drop benched neighbours, and — the
+        starvation guard — re-admit the healthiest benched ones when
+        fewer than ``min_peers`` remain."""
+        policy = self.policy
+        if policy is None:
             return neighbours
-        active, readmitted = quarantine_poll_filter(
-            neighbours, self._health, self.now, quarantine
-        )
-        self.hardening_stats.starvation_overrides += len(readmitted)
+        now = self.server.now
+        for name in neighbours:
+            self.of(name).release_if_due(now, policy)
+        active = [name for name in neighbours if not self.of(name).is_quarantined(now)]
+        floor = min(policy.min_peers, len(neighbours))
+        readmitted: List[str] = []
+        if len(active) < floor:
+            benched = sorted(
+                (name for name in neighbours if name not in active),
+                key=lambda name: (-self.of(name).score, name),
+            )
+            readmitted = benched[: floor - len(active)]
+            active = sorted(active + readmitted)
+        for reporter in self.reporters:
+            reporter.peers_readmitted(len(readmitted))
         return active
+
+    def _on_round_closed(self, round_: _PollRound) -> None:
+        if self.policy is None:
+            return
+        # Unreachable peers (every send refused) are penalised like silent
+        # ones — neither produced a reply this round.
+        now = self.server.now
+        for name in sorted(round_.outstanding | round_.unsent):
+            if self.of(name).record_timeout(now, self.policy):
+                self._report_bench(name)
+
+    def _peer_rejected(self, peer: str) -> None:
+        if self.policy is not None and self.of(peer).record_invalid(
+            self.server.now, self.policy
+        ):
+            self._report_bench(peer)
+
+
+class HardeningStage(Stage):
+    """The production armour described above, as a server stage.
+
+    Needs a :class:`PeerHealth` earlier in the stage list
+    (:func:`hardening_stages` builds the pair).
+
+    Args:
+        config: The knob bundle; defaults to :class:`HardeningConfig()`.
+        rng: Random stream for retry jitter.  None disables jitter
+            (retries stay deterministic).
+    """
+
+    exports = ("hardening", "hardening_stats")
+
+    def __init__(
+        self,
+        config: Optional[HardeningConfig] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> None:
+        self.hardening = config if config is not None else HardeningConfig()
+        self._rng = rng
+        self._rtt_ewma: Optional[float] = None
+        self._rtt_dev = 0.0
+        self._recovery_attempts = 0
+
+    def attach(self, server: TimeServer) -> None:
+        super().attach(server)
+        self.peers = self.need(PeerHealth)
+        self.peers.reporters.append(self)
+        self.hardening_stats = HardeningStats(server.telemetry.stats_registry())
+
+    # ------------------------------------------------------------- health
+
+    def peer_benched(self, name: str) -> None:
+        self.hardening_stats.quarantines += 1
+        self.server._trace("quarantine", server=name)
+
+    def peers_readmitted(self, count: int) -> None:
+        self.hardening_stats.starvation_overrides += count
 
     # --------------------------------------------------------- validation
 
     def _validate_reply(self, reply: TimeReply) -> Optional[str]:
         if not self.hardening.validate:
-            return None
-        reason = self._rejection_reason(reply)
-        if reason is None:
-            return None
-        quarantine = self.hardening.quarantine
-        if quarantine is not None:
-            if self._health(reply.server).record_invalid(self.now, quarantine):
-                self._note_quarantine(reply.server)
-        return reason
-
-    def _rejection_reason(self, reply: TimeReply) -> Optional[str]:
-        value, error = self.report()
-        reason = reply_sanity_rejection(
-            reply,
-            local_value=value,
-            local_error=error,
-            delta=self.delta,
-            xi=self.network.xi,
-            max_error=self.hardening.max_error,
-            plausibility_slack=self.hardening.plausibility_slack,
-        )
+            return None  # ... which also skips the error-physics clamp
+        reason = validation_rejection(self.server, reply, self.hardening)
         if reason is not None:
-            return reason
-        if self.hardening.error_physics:
-            return self._error_physics_rejection(reply)
-        return None
+            self.server._peer_rejected(reply.server)
+        return reason
 
     # ------------------------------------------------------------ retries
 
@@ -427,21 +449,32 @@ class HardenedTimeServer(TimeServer):
         retry = self.hardening.retry
         if retry.max_attempts > 1:
             round_.timers.append(
-                self.call_after(
-                    retry.delay(1, self._hrng),
+                self.server.call_after(
+                    retry.delay(1, self._rng),
                     lambda: self._retry_round(round_, attempt=2),
                 )
             )
 
+    def _resend(
+        self, destination: str, request_id: int, kind: RequestKind, nonce: int
+    ) -> bool:
+        """Retransmit a request; False when the transport refused it."""
+        server = self.server
+        request = TimeRequest(
+            request_id=request_id,
+            origin=server.name,
+            destination=destination,
+            kind=kind,
+            nonce=nonce,
+        )
+        return server.network.send(
+            server.name, destination, server._prepare_request(request)
+        )
+
     def _pollable_unsent(self, round_: _PollRound) -> List[str]:
         """Unsent destinations a retry could still usefully reach."""
-        quarantine = self.hardening.quarantine
-        if quarantine is None:
-            return sorted(round_.unsent)
         return [
-            name
-            for name in sorted(round_.unsent)
-            if not self._health(name).is_quarantined(self.now)
+            name for name in sorted(round_.unsent) if not self.peers.benched(name)
         ]
 
     def _may_revive(self, round_: _PollRound) -> bool:
@@ -454,41 +487,30 @@ class HardenedTimeServer(TimeServer):
         return bool(self._pollable_unsent(round_))
 
     def _retry_round(self, round_: _PollRound, attempt: int) -> None:
-        if round_.closed or self._departed:
+        server = self.server
+        if round_.closed or server.departed:
             return
         if not round_.outstanding and not round_.unsent:
             return
         retry = self.hardening.retry
-        quarantine = self.hardening.quarantine
         for destination in sorted(round_.outstanding | round_.unsent):
             revived = destination in round_.unsent
-            if (
-                revived
-                and quarantine is not None
-                and self._health(destination).is_quarantined(self.now)
-            ):
+            if revived and self.peers.benched(destination):
                 continue  # a benched peer's request never left; don't revive it
             self.hardening_stats.retries_sent += 1
             if revived:
                 # The original request never left; RTT is measured from
                 # this (first successful) transmission instead.
-                round_.sent_local[destination] = self.clock_value()
-            accepted = self.network.send(
-                self.name,
+                round_.sent_local[destination] = server.clock_value()
+            # A retransmission re-asks the same question: it reuses the
+            # round's recorded nonce so whichever copy answers first is
+            # accepted, and the other is a duplicate on an
+            # already-consumed slot.
+            accepted = self._resend(
                 destination,
-                self._prepare_request(
-                    TimeRequest(
-                        request_id=round_.round_id,
-                        origin=self.name,
-                        destination=destination,
-                        kind=RequestKind.POLL,
-                        # A retransmission re-asks the same question: it
-                        # reuses the round's recorded nonce so whichever
-                        # copy answers first is accepted, and the other is
-                        # a duplicate on an already-consumed slot.
-                        nonce=round_.nonces.get(destination, 0),
-                    )
-                ),
+                round_.round_id,
+                RequestKind.POLL,
+                round_.nonces.get(destination, 0),
             )
             if revived and accepted:
                 round_.unsent.discard(destination)
@@ -497,8 +519,8 @@ class HardenedTimeServer(TimeServer):
                 del round_.sent_local[destination]
         if attempt < retry.max_attempts:
             round_.timers.append(
-                self.call_after(
-                    retry.delay(attempt, self._hrng),
+                server.call_after(
+                    retry.delay(attempt, self._rng),
                     lambda: self._retry_round(round_, attempt=attempt + 1),
                 )
             )
@@ -507,12 +529,11 @@ class HardenedTimeServer(TimeServer):
             # transmission was refused at send time, so no reply can ever
             # arrive.  End the round now instead of waiting out the
             # timeout; the close path reports the empty source set.
-            self._complete_round(round_)
+            server._complete_round(round_)
 
     # ----------------------------------------------------- adaptive timeout
 
     def _observe_reply(self, reply: TimeReply, rtt_local: float, local_now: float) -> None:
-        super()._observe_reply(reply, rtt_local, local_now)
         cfg = self.hardening
         if self._rtt_ewma is None:
             self._rtt_ewma = rtt_local
@@ -521,21 +542,19 @@ class HardenedTimeServer(TimeServer):
             deviation = abs(rtt_local - self._rtt_ewma)
             self._rtt_dev += cfg.rtt_dev_alpha * (deviation - self._rtt_dev)
             self._rtt_ewma += cfg.rtt_alpha * (rtt_local - self._rtt_ewma)
-        if cfg.quarantine is not None:
-            self._health(reply.server).record_good(cfg.quarantine)
+        self.peers.good(reply.server)
 
     def _retry_budget(self) -> float:
         """Worst-case time the retry schedule needs (no jitter)."""
         retry = self.hardening.retry
         return sum(retry.delay(k, None) for k in range(1, retry.max_attempts))
 
-    def _effective_round_timeout(self) -> float:
+    def _effective_round_timeout(self, static: float) -> float:
         # The static timeout bounds the wait for any single transmission's
         # answer; the retry budget then EXTENDS the round so the last
         # retransmission still gets a full answer window — otherwise a
         # fast network (static = 4ξ) would close rounds before the first
         # backoff delay ever fires.
-        static = super()._effective_round_timeout()
         cfg = self.hardening
         if not cfg.adaptive_timeout or self._rtt_ewma is None:
             return static + self._retry_budget()
@@ -545,71 +564,55 @@ class HardenedTimeServer(TimeServer):
 
     # ----------------------------------------------------- health feedback
 
-    def _on_round_closed(self, round_: _PollRound) -> None:
-        super()._on_round_closed(round_)
-        quarantine = self.hardening.quarantine
-        if quarantine is None:
-            return
-        # Unreachable peers (every send refused) are penalised like silent
-        # ones — neither produced a reply this round.
-        for name in sorted(round_.outstanding | round_.unsent):
-            if self._health(name).record_timeout(self.now, quarantine):
-                self._note_quarantine(name)
-
-    def _note_inconsistency(self, conflicting: tuple[str, ...]) -> None:
-        quarantine = self.hardening.quarantine
-        if quarantine is not None:
+    def before_inconsistency(self, conflicting: tuple[str, ...]) -> tuple[str, ...]:
+        if self.peers.policy is not None:
             for name in conflicting:
-                if name == self.name:
-                    continue
-                if self._health(name).record_inconsistent(self.now, quarantine):
-                    self._note_quarantine(name)
+                if name != self.server.name:
+                    self.peers.inconsistent(name)
             # Quarantined neighbours are unfit arbiters for the paper's
             # unconditional reset: extend the excluded set.
             conflicting = tuple(
-                dict.fromkeys(tuple(conflicting) + tuple(self.quarantined_peers()))
+                dict.fromkeys(
+                    tuple(conflicting) + tuple(self.peers.quarantined_peers())
+                )
             )
-        if self._recovery_inflight is None:
+        if self.server._recovery_inflight is None:
             self._recovery_attempts = 0
-        super()._note_inconsistency(conflicting)
+        return conflicting
 
     # ---------------------------------------------------- recovery retries
 
-    def _recovery_timeout(self, request_id: int) -> None:
-        inflight = self._recovery_inflight
+    def before_recovery_timeout(self, request_id: int) -> bool:
+        """Retransmit a silent recovery fetch; True while one is pending."""
+        server = self.server
+        inflight = server._recovery_inflight
         if inflight is None or inflight[0] != request_id:
-            return
+            return False  # a stale timer: the base ignores it
         retry = self.hardening.retry
         _request_id, arbiter, _sent_local, recovery_nonce = inflight
-        quarantine = self.hardening.quarantine
-        if quarantine is not None and self._health(arbiter).is_quarantined(
-            self.now
+        # An arbiter benched after this recovery started (its silence may
+        # be what benched it) is not retried: that would just extend the
+        # outage — the base abandons the attempt instead, and the next
+        # inconsistency picks a fresh arbiter.
+        if (
+            self.peers.benched(arbiter)
+            or self._recovery_attempts + 1 >= retry.max_attempts
         ):
-            # The arbiter was benched after this recovery started (its
-            # silence may be what benched it): retrying the same benched
-            # server would just extend the outage — abandon instead, and
-            # the next inconsistency picks a fresh arbiter.
-            super()._recovery_timeout(request_id)
-            return
-        if self._recovery_attempts + 1 < retry.max_attempts:
-            self._recovery_attempts += 1
-            self.hardening_stats.recovery_retries += 1
-            self.network.send(
-                self.name,
-                arbiter,
-                self._prepare_request(
-                    TimeRequest(
-                        request_id=request_id,
-                        origin=self.name,
-                        destination=arbiter,
-                        kind=RequestKind.RECOVERY,
-                        nonce=recovery_nonce,
-                    )
-                ),
-            )
-            self._recovery_timeout_event = self.call_after(
-                retry.delay(self._recovery_attempts, self._hrng),
-                lambda: self._recovery_timeout(request_id),
-            )
-            return
-        super()._recovery_timeout(request_id)
+            return False
+        self._recovery_attempts += 1
+        self.hardening_stats.recovery_retries += 1
+        self._resend(arbiter, request_id, RequestKind.RECOVERY, recovery_nonce)
+        server._recovery_timeout_event = server.call_after(
+            retry.delay(self._recovery_attempts, self._rng),
+            lambda: server._recovery_timeout(request_id),
+        )
+        return True
+
+
+def hardening_stages(
+    config: Optional[HardeningConfig] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> List[Stage]:
+    """The peer-health book and the hardening stage over it."""
+    config = config if config is not None else HardeningConfig()
+    return [PeerHealth(config.quarantine), HardeningStage(config, rng)]

@@ -33,7 +33,7 @@ class ReplyStatus(enum.Enum):
     """How a reply was produced — the overload subsystem's extension.
 
     The paper's servers answer every request instantly and for free, so
-    every reply is ``OK``.  A :class:`~repro.load.server.LoadAwareServer`
+    every reply is ``OK``.  A :class:`~repro.load.server.LoadStage`
     can instead shed or degrade under load:
 
     * ``OK`` — a fresh rule MM-1 answer (the paper's reply).

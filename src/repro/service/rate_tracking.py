@@ -5,8 +5,8 @@ reveal *why* a service went inconsistent — "instead, the rates of the
 servers must be examined."  Two clocks are *consonant* when their measured
 rate of separation is within the sum of their claimed drift bounds.
 
-:class:`RateTrackingServer` extends :class:`~repro.service.server.TimeServer`
-with that examination:
+:class:`RateTrackingStage` gives a :class:`~repro.service.server.TimeServer`
+that examination:
 
 * It maintains a **raw local timescale** — its clock reading minus the sum
   of all adjustments applied by resets — which advances at the oscillator's
@@ -16,7 +16,7 @@ with that examination:
 * Every poll reply feeds a per-neighbour sliding-window
   :class:`~repro.core.consonance.RateEstimator` with the observed offset of
   the neighbour's clock against the raw timescale.
-* :meth:`RateTrackingServer.dissonant_neighbours` names the neighbours
+* :meth:`RateTrackingStage.dissonant_neighbours` names the neighbours
   whose measured separation rate exceeds ``δ_i + δ_j`` (the reply's carried
   δ) — the paper's diagnosis of invalid drift bounds.
 * On an inconsistency, the server adds its dissonant neighbours to the
@@ -41,7 +41,7 @@ from typing import Dict, Optional
 
 from ..core.consonance import RateEstimate, RateEstimator, RateObservation
 from .messages import TimeReply
-from .server import TimeServer
+from .server import Stage
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,8 @@ class NeighbourRateReport:
     consonant: Optional[bool]
 
 
-class RateTrackingServer(TimeServer):
-    """A time server that also runs the Section 5 rate machinery.
-
-    Accepts all :class:`TimeServer` arguments plus:
+class RateTrackingStage(Stage):
+    """The Section 5 rate machinery, as a server stage.
 
     Args:
         rate_window: Sliding-window size of each neighbour estimator.
@@ -74,35 +72,47 @@ class RateTrackingServer(TimeServer):
             produced (short spans are reading-error dominated).
     """
 
-    def __init__(self, *args, rate_window: int = 16, rate_min_span: float = 30.0, **kwargs):
-        super().__init__(*args, **kwargs)
+    exports = ("rate_report", "rate_reports", "dissonant_neighbours", "self_suspect")
+
+    def __init__(self, rate_window: int = 16, rate_min_span: float = 30.0) -> None:
         self._rate_window = rate_window
         self._rate_min_span = rate_min_span
         self._estimators: Dict[str, RateEstimator] = {}
         self._remote_delta: Dict[str, float] = {}
         self._cumulative_adjustment = 0.0
+        self._before_reset = 0.0
 
     # ------------------------------------------------------------ raw time
 
     @property
     def raw_clock_value(self) -> float:
         """The free-running timescale: clock reading minus all adjustments."""
-        return self.clock_value() - self._raw_adjustment()
+        return self.server.clock_value() - self._raw_adjustment()
 
     def _raw_adjustment(self) -> float:
-        """Total correction to subtract when recovering the raw timescale.
+        """Total correction to subtract when recovering the raw timescale:
+        every reset's jump, plus whatever a slewing clock bled into the
+        reading *between* resets (its running ``slewed_out``) — so the
+        estimators keep seeing the free-running oscillator."""
+        return self._cumulative_adjustment + getattr(
+            self.server.clock, "slewed_out", 0.0
+        )
 
-        Subclasses whose clocks apply corrections *outside* resets (a
-        slewing adapter bleeding an offset into the reading between
-        polls) add that contribution here.
-        """
-        return self._cumulative_adjustment
+    def before_reset(self, decision, kind: str) -> None:
+        self._before_reset = self.server.clock.read(self.server.now)
 
-    def _apply_reset(self, decision, kind: str) -> None:
-        before = self.clock.read(self.now)
-        super()._apply_reset(decision, kind)
-        after = self.clock.read(self.now)
-        self._cumulative_adjustment += after - before
+    def after_reset(self, decision, kind: str) -> None:
+        after = self.server.clock.read(self.server.now)
+        self._cumulative_adjustment += after - self._before_reset
+
+    def new_estimator(self) -> RateEstimator:
+        """An empty estimator with this stage's window settings."""
+        return RateEstimator(window=self._rate_window, min_span=self._rate_min_span)
+
+    def forget(self) -> None:
+        """Drop every neighbour's window (a crash loses RAM)."""
+        self._estimators.clear()
+        self._remote_delta.clear()
 
     # ------------------------------------------------------------- tracking
 
@@ -110,10 +120,7 @@ class RateTrackingServer(TimeServer):
         raw_local = local_now - self._raw_adjustment()
         estimator = self._estimators.get(reply.server)
         if estimator is None:
-            estimator = RateEstimator(
-                window=self._rate_window, min_span=self._rate_min_span
-            )
-            self._estimators[reply.server] = estimator
+            estimator = self._estimators[reply.server] = self.new_estimator()
         # Midpoint delay compensation; the reading error budget is the
         # remote interval plus the unresolvable delay asymmetry.
         offset = reply.clock_value + rtt_local / 2.0 - raw_local
@@ -134,7 +141,7 @@ class RateTrackingServer(TimeServer):
         if estimate is not None:
             # Diagnostic margin: the statistical noise when the sample path
             # is actually linear, never exceeding the hard worst-case bound.
-            allowance = self.delta + remote_delta + estimate.noise
+            allowance = self.server.delta + remote_delta + estimate.noise
             verdict = abs(estimate.rate) <= allowance
         return NeighbourRateReport(
             neighbour=neighbour,
@@ -178,8 +185,7 @@ class RateTrackingServer(TimeServer):
 
     # ------------------------------------------------------------- recovery
 
-    def _note_inconsistency(self, conflicting: tuple[str, ...]) -> None:
+    def before_inconsistency(self, conflicting: tuple[str, ...]) -> tuple[str, ...]:
         # Widen the recovery exclusion set with every neighbour whose rate
         # is provably bad: the Section 5 fix for arbiter poisoning.
-        widened = tuple(dict.fromkeys(conflicting + tuple(self.dissonant_neighbours())))
-        super()._note_inconsistency(widened)
+        return tuple(dict.fromkeys(conflicting + tuple(self.dissonant_neighbours())))

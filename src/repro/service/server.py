@@ -27,14 +27,22 @@ Correctness bookkeeping subtleties faithfully reproduced:
   centre is advanced by the local clock's elapsed time since receipt and
   its error widened by ``δ_i`` times that elapsed time, so correctness is
   preserved while the round is open.
+
+Everything else a server can do — hardening, authentication, rate
+tracking, discipline, self-stabilisation, Byzantine tolerance, holdover,
+admission control, slew honesty — is a :class:`Stage`: a plain object
+handed to the constructor (``stages=``) that implements any subset of
+the one hook table below (:data:`HOOKS`).  There is one server class;
+capabilities compose by being in the list.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from ..clocks.base import Clock
 from ..core.recovery import RecoveryStrategy
@@ -99,6 +107,264 @@ class ServerStats:
     requests_refused: int = 0  # inbound requests rejected by _admit_request
 
 
+class Stage:
+    """One capability of a :class:`TimeServer` (docs/tutorial.md, "Writing
+    a stage").
+
+    A plain object that owns its configuration, state, counters and
+    checkpoint fields and implements any subset of :data:`HOOKS`.  The
+    server's constructor attaches its stages in list order (a stage
+    finds the earlier ones it relies on with ``server.stage(cls)``),
+    then binds every name in :attr:`exports` on itself
+    (``server.x = stage.x``): the flat surface telemetry, the fault
+    injector and the experiments probe by name.  Bound once — so export
+    methods and objects mutated in place, and keep a scalar the stage
+    *rebinds* on the server itself.  No ``__getattr__`` forwards misses
+    to the stages instead: merely defining one takes CPython's attribute
+    fast path away from every ``self.x`` on the hot path, stage-less
+    servers included.
+    """
+
+    #: Names bound on the server at attach.
+    exports: tuple[str, ...] = ()
+    server: "TimeServer"
+
+    def attach(self, server: "TimeServer") -> None:
+        """Join ``server``; called once, at its construction."""
+        self.server = server
+
+    def need(self, cls):
+        """The server's stage of type ``cls``, which this one builds on."""
+        stage = self.server.stage(cls)
+        if stage is None:
+            raise ValueError(
+                f"{type(self).__name__} needs a {cls.__name__} earlier in "
+                "the stage list"
+            )
+        return stage
+
+    def checkpoint_fields(self) -> dict:
+        """Extra :class:`~repro.recovery.store.Checkpoint` fields to
+        persist (collected by the checkpointing stage)."""
+        return {}
+
+    def restore_checkpoint(self, checkpoint) -> None:
+        """A crashed server is restarting, its volatile state gone:
+        ``checkpoint`` is the durable record on a warm restart, None on
+        a cold one."""
+
+
+class Hook(NamedTuple):
+    """One row of :data:`HOOKS`: the stage method ``name`` attaches to
+    the server method ``method`` under ``rule``, ``when`` = before or
+    after the base method.
+
+    ``noop``: the base is the documented no-op or identity, so a sole
+    implementing stage's method is bound in its place.  ``unless``: the
+    base method's own idempotence guard, a predicate of ``(server,
+    *args)`` — when it holds the call does nothing and no hook runs.
+    """
+
+    name: str
+    method: str
+    rule: str
+    when: str = "after"
+    noop: bool = False
+    unless: Optional[Callable[..., bool]] = None
+
+
+def _hook(name: str, rule: str, when: str = "after", noop: bool = False) -> Hook:
+    """A hook whose stage method carries the server method's own name."""
+    return Hook(name, name, rule, when, noop)
+
+
+#: The extension points of :class:`TimeServer` — the single source for
+#: which exist, how stages combine on each and in what order they run
+#: (DESIGN.md §2.1 carries this table, test-checked).  Rules:
+#:
+#: * ``fold`` — each maps the value the previous one produced;
+#: * ``first`` — the first non-None verdict wins;
+#: * ``first+sum`` — verdicts are ``(rejection, widen)`` pairs: the first
+#:   rejection wins, the widens before it add up;
+#: * ``notify`` — all are called, results ignored;
+#: * ``any`` — true when any is;
+#: * ``veto`` — a true result takes the call over: the base method and
+#:   every after-hook are skipped.
+#:
+#: ``before`` hooks run ahead of the base method, last stage first;
+#: ``after`` hooks behind it, first stage first — the order ``super()``
+#: gave the class tower this table replaced, the first stage being the
+#: innermost class.  Trace rows depend on it (the ``inconsistent`` row's
+#: name order; a checkpoint written before the slew rail widens ε).
+HOOKS: tuple[Hook, ...] = (
+    # Answering requests (rule MM-1).
+    Hook("before_message", "on_message", "veto", "before"),
+    Hook("before_answer", "_answer", "veto", "before"),
+    Hook("after_answer", "_answer", "notify"),
+    _hook("_admit_request", "first", noop=True),
+    _hook("_reply_extras", "fold"),
+    _hook("_prepare_reply", "fold", noop=True),
+    # Polling (rule MM-2).
+    _hook("_poll_targets", "fold"),
+    _hook("_prepare_request", "fold", noop=True),
+    _hook("_effective_round_timeout", "fold"),
+    _hook("_on_round_started", "notify", noop=True),
+    _hook("_may_revive", "any", noop=True),
+    # Judging replies.
+    _hook("_validate_reply", "first", "before"),
+    _hook("_admit_reply", "first+sum", noop=True),
+    _hook("_peer_rejected", "notify", noop=True),
+    _hook("_observe_reply", "notify", noop=True),
+    # Closing a round.
+    _hook("_on_round_closed", "notify", noop=True),
+    _hook("_on_round_outcome", "notify", noop=True),
+    Hook(
+        "after_round", "_complete_round", "notify",
+        unless=lambda server, round_: round_.closed,
+    ),
+    # Resets and Section 3 recovery.
+    Hook("before_reset", "_apply_reset", "veto", "before"),
+    Hook("after_reset", "_apply_reset", "notify"),
+    Hook("before_inconsistency", "_note_inconsistency", "fold", "before"),
+    Hook("before_recovery_reply", "_handle_recovery_reply", "veto", "before"),
+    Hook("before_recovery_timeout", "_recovery_timeout", "veto", "before"),
+    # Lifecycle and membership.
+    Hook("after_start", "on_start", "notify"),
+    Hook("before_leave", "leave", "veto", "before"),
+    Hook(
+        "after_rejoin", "rejoin", "notify",
+        unless=lambda server, initial_error: not server.departed,
+    ),
+)
+
+
+# The combinators: each returns one callable standing in for the method
+# (so it takes whatever the method takes, keywords included).  ``calls``
+# holds the base method at its place in the order.
+
+
+def _first(calls):
+    def run(*args, **kw):
+        for call in calls:
+            verdict = call(*args, **kw)
+            if verdict is not None:
+                return verdict
+        return None
+
+    return run
+
+
+def _first_sum(calls):
+    def run(*args, **kw):
+        total = 0.0
+        for call in calls:
+            rejection, widen = call(*args, **kw)
+            if rejection is not None:
+                return rejection, widen
+            total += widen
+        return None, total
+
+    return run
+
+
+def _notify(calls):
+    def run(*args, **kw):
+        for call in calls:
+            call(*args, **kw)
+
+    return run
+
+
+def _any(calls):
+    # Also ``veto``: the base method comes last, and returns None.
+    def run(*args, **kw):
+        for call in calls:
+            if call(*args, **kw):
+                return True
+        return False
+
+    return run
+
+
+def _fold_after(inner, hooks):
+    def run(*args, **kw):
+        value = inner(*args, **kw)
+        for hook in hooks:
+            value = hook(value)
+        return value
+
+    return run
+
+
+def _fold_before(inner, hooks):
+    def run(value):
+        for hook in hooks:
+            value = hook(value)
+        return inner(value)
+
+    return run
+
+
+def _unless(guard, server, base, run):
+    def guarded(*args, **kw):
+        if guard(server, *args, **kw):
+            return base(*args, **kw)
+        return run(*args, **kw)
+
+    return guarded
+
+
+_ORDERED = {
+    "first": _first, "first+sum": _first_sum, "notify": _notify,
+    "any": _any, "veto": _any,
+}
+
+
+def _maker(hook: Hook):
+    """One table row's rule as ``(inner, hooks) -> callable``: ``inner``
+    is the base method (or a wrapper around it), ``hooks`` the stages'
+    methods in the order they run."""
+    if hook.rule == "fold":
+        return _fold_before if hook.when == "before" else _fold_after
+    combinator = _ORDERED[hook.rule]
+    if hook.when == "before":
+        return lambda inner, hooks: combinator(hooks + [inner])
+    return lambda inner, hooks: combinator([inner] + hooks)
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(kinds: tuple[type, ...]) -> tuple:
+    """What a stage list of these classes binds on its server, as
+    ``(direct, wrapped)``: ``direct`` holds ``(method, stage method,
+    stage index)`` for each sole implementer bound in a no-op's place;
+    ``wrapped`` holds ``(method, steps, guard)`` for the rest, ``steps``
+    being one ``(maker, stage method, implementing stage indices in run
+    order)`` per table row in play.  Every server of a service carries
+    one of a few class lists, so the table is searched once per list,
+    not once per server.
+    """
+    found: Dict[str, list] = {}
+    for row in HOOKS:
+        indices = [i for i, kind in enumerate(kinds) if hasattr(kind, row.name)]
+        if indices:
+            found.setdefault(row.method, []).append((row, indices))
+    direct, wrapped = [], []
+    for method, rows in found.items():
+        row, indices = rows[0]
+        if len(rows) == 1 and len(indices) == 1 and row.noop:
+            direct.append((method, row.name, indices[0]))
+            continue
+        # After-rows first: a veto must wrap the after-hooks it skips.
+        rows.sort(key=lambda item: item[0].when == "before")
+        steps = tuple(
+            (_maker(r), r.name, tuple(ix[::-1] if r.when == "before" else ix))
+            for r, ix in rows
+        )
+        guards = [r.unless for r, _ in rows if r.unless is not None]
+        wrapped.append((method, steps, guards[0] if guards else None))
+    return tuple(direct), tuple(wrapped)
+
+
 class TimeServer(SimProcess):
     """One time server ``S_i``.
 
@@ -127,7 +393,7 @@ class TimeServer(SimProcess):
             grew slower than ``δ_j`` allows since the neighbour's last
             observed report (see :meth:`_error_physics_rejection`).
             Default False: the paper's servers trust each other, and the
-            hardened/Byzantine subclasses opt in instead.
+            hardening/Byzantine stages run the clamp themselves instead.
         trace: Optional shared trace recorder.
         poll_jitter: Optional callable giving additive jitter to each poll
             gap, de-phasing the servers' rounds.
@@ -137,6 +403,10 @@ class TimeServer(SimProcess):
         telemetry: Per-server telemetry handle (see
             :class:`~repro.telemetry.instruments.ServerTelemetry`); None
             uses the null handle, making every instrument call a no-op.
+        stages: The server's capabilities beyond the paper's rules, as
+            an ordered :class:`Stage` list (first = innermost; see
+            :class:`Hook` for what the order means).  Empty — the
+            default — is exactly the paper's server.
     """
 
     def __init__(
@@ -157,6 +427,7 @@ class TimeServer(SimProcess):
         poll_jitter=None,
         first_poll_at: Optional[float] = None,
         telemetry: Optional[ServerTelemetry] = None,
+        stages: Sequence[Stage] = (),
     ) -> None:
         super().__init__(engine, name)
         if delta < 0:
@@ -201,6 +472,44 @@ class TimeServer(SimProcess):
         # error-physics clamp needs the previous *claim* to test growth.
         self._last_reports: Dict[str, tuple[float, float]] = {}
         self._physics_strikes: Dict[str, int] = {}
+        self.stages: tuple[Stage, ...] = tuple(stages)
+        for stage in self.stages:
+            stage.attach(self)
+            for export in stage.exports:
+                setattr(self, export, getattr(stage, export))
+        if self.stages:
+            self._install_hooks()
+
+    # ---------------------------------------------------------------- stages
+
+    def stage(self, cls):
+        """The server's stage of type ``cls``, or None when it has none."""
+        for stage in self.stages:
+            if isinstance(stage, cls):
+                return stage
+        return None
+
+    def _install_hooks(self) -> None:
+        """Bind a dispatcher on this instance for every hooked method
+        some stage implements.
+
+        Instance attributes shadow the class's methods, so every
+        ``self._validate_reply(...)`` below reaches the dispatcher;
+        methods no stage touches keep resolving to the class, and a
+        stage-less server never gets here — it runs exactly the code
+        below.
+        """
+        stages, bound = self.stages, self.__dict__
+        direct, wrapped = _plan(tuple(map(type, stages)))
+        for method, name, index in direct:
+            bound[method] = getattr(stages[index], name)
+        for method, steps, guard in wrapped:
+            base = run = getattr(type(self), method).__get__(self)
+            for make, name, indices in steps:
+                run = make(run, [getattr(stages[i], name) for i in indices])
+            if guard is not None:
+                run = _unless(guard, self, base, run)
+            bound[method] = run
 
     # ------------------------------------------------------------- MM-1/IM-1
 
@@ -373,8 +682,8 @@ class TimeServer(SimProcess):
         """Hook: extra :class:`TimeReply` fields for outgoing answers.
 
         The base server's replies carry exactly the paper's payload;
-        :class:`~repro.recovery.server.SelfStabilizingServer` piggybacks
-        its merge epoch and census gossip here.
+        :class:`~repro.recovery.server.StabilizingStage` piggybacks its
+        merge epoch and census gossip here.
         """
         return {}
 
@@ -421,8 +730,8 @@ class TimeServer(SimProcess):
     def _poll_targets(self) -> list[str]:
         """Hook: which neighbours this round polls.
 
-        The base server polls every topology neighbour; the hardened
-        server excludes quarantined ones.
+        The base server polls every topology neighbour; the peer-health
+        book excludes quarantined ones.
         """
         return self.network.neighbours(self.name)
 
@@ -482,7 +791,7 @@ class TimeServer(SimProcess):
     def _on_round_started(self, round_: _PollRound) -> None:
         """Hook: called once per round after its requests went out.
 
-        The base server ignores it; the hardened server arms its
+        The base server ignores it; the hardening stage arms its
         per-neighbour retry schedule here.
         """
 
@@ -490,7 +799,7 @@ class TimeServer(SimProcess):
         """Hook: can send-time-dropped polls still be retransmitted?
 
         The base server never retries, so a round with nothing outstanding
-        is closed immediately; the hardened server keeps it open while its
+        is closed immediately; the hardening stage keeps it open while its
         retry schedule could still reach an ``unsent`` neighbour.
         """
         return False
@@ -606,7 +915,7 @@ class TimeServer(SimProcess):
         Return None to accept or a short reason string to reject.  The
         base server accepts everything (the paper's servers trust each
         other) unless ``error_physics`` opted into the rule MM-1 growth
-        clamp; :class:`~repro.service.hardening.HardenedTimeServer`
+        clamp; :class:`~repro.service.hardening.HardeningStage`
         additionally rejects NaN/negative/implausible ``⟨C_j, E_j⟩``
         pairs here.
         """
@@ -711,7 +1020,7 @@ class TimeServer(SimProcess):
         """Hook: called as a round closes, before the policy's round hook.
 
         ``round_.outstanding`` still names the neighbours that never
-        answered; the hardened server feeds its health scores from it.
+        answered; the peer-health book feeds its scores from it.
         """
 
     def _on_round_outcome(self, outcome) -> None:
@@ -719,8 +1028,8 @@ class TimeServer(SimProcess):
 
         Runs before the server acts on it (reset or recovery).  The base
         server ignores it; :class:`~repro.byzantine.server.
-        ByzantineTolerantServer` feeds its reputation tracker, fault
-        budget and census from the FT-IM classification here.
+        ByzantineStage` feeds its reputation tracker, fault budget and
+        census from the FT-IM classification here.
         """
 
     # --------------------------------------------------------------- resets
@@ -876,7 +1185,16 @@ class TimeServer(SimProcess):
         """Hook: called for every poll reply before policy evaluation.
 
         The base server ignores it; :class:`~repro.service.rate_tracking.
-        RateTrackingServer` feeds its consonance estimators here.
+        RateTrackingStage` feeds its consonance estimators here.
+        """
+
+    def _peer_rejected(self, peer: str) -> None:
+        """Hook: a stage refused a message from ``peer`` (failed reply
+        validation, bad MAC, replay, impossible transit).
+
+        The one rejection path: the peer-health book decays the peer's
+        score toward quarantine here, and the Byzantine stage counts it
+        as falseticker evidence.  The base server keeps no such books.
         """
 
     # ---------------------------------------------------------------- trace
@@ -884,3 +1202,24 @@ class TimeServer(SimProcess):
     def _trace(self, kind: str, **data) -> None:
         if self.trace is not None:
             self.trace.record(self.now, kind, self.name, **data)
+
+
+class SlewRail(Stage):
+    """Slew-honest MM-1 accounting, for any clock that drains resets.
+
+    A :class:`~repro.clocks.slewing.SlewingClock` *applies* a reset
+    gradually: until the slew drains, the reading sits up to
+    ``slew_remaining`` short of the adopted target.  The rail charges
+    that pending correction to ``ε_i`` at reset time, so ``[C−E, C+E]``
+    contains true time throughout the drain (Theorem 1).  Builders add
+    it whenever the clock exposes ``slew_remaining`` — it is derived
+    from the clock, not selected — and list it behind every stage that
+    checkpoints or gates a reset, ahead of any that caches the report.
+    """
+
+    def after_reset(self, decision, kind: str) -> None:
+        # getattr: the fault injector may have swapped a failure wrapper
+        # over the slewing clock mid-run.
+        pending = getattr(self.server.clock, "slew_remaining", 0.0)
+        if pending:
+            self.server._epsilon += abs(pending)

@@ -768,7 +768,7 @@ class TelemetrySampler(SimProcess):
                 age_set = self._child(self._holdover_age, server=name).set
                 extras.append(
                     lambda s=server, st=state_set, ag=age_set: (
-                        st(int(s.holdover_state)),
+                        st(int(s.holdover.state)),
                         ag(s.holdover_age_now()),
                     )
                 )

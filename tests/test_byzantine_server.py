@@ -12,7 +12,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.byzantine import FaultBudgetController, ReputationConfig
+from repro.byzantine import ByzantineStage, FaultBudgetController, ReputationConfig
 from repro.core.ft_im import FTIMPolicy, FTRoundOutcome
 from repro.experiments import figure3_liars
 from repro.faults import FaultSchedule, attach_chaos
@@ -158,7 +158,7 @@ class TestDurableReputation:
         service, _ = _liar_mesh()
         service.run_until(LIE_START + 400.0)
         server = service.servers["S1"]
-        extras = server._checkpoint_extras()
+        extras = server.stage(ByzantineStage).checkpoint_fields()
         assert LIAR in extras["reputation"]
         assert extras["fault_budget"] >= 1
 
@@ -175,7 +175,7 @@ class TestDurableReputation:
             reputation=f"{LIAR},0.1,6,1",
             fault_budget=2,
         )
-        server._restore_checkpoint_extras(checkpoint)
+        server.stage(ByzantineStage).restore_checkpoint(checkpoint)
         assert server.reputation.is_falseticker(LIAR)
         assert server.budget_controller.value == 2
 
@@ -192,7 +192,7 @@ class TestDurableReputation:
             sequence=3,
             reputation="not,a,valid",
         )
-        server._restore_checkpoint_extras(checkpoint)
+        server.stage(ByzantineStage).restore_checkpoint(checkpoint)
         assert server.reputation.falsetickers() == ()
 
     def test_warm_restart_still_refuses_the_known_liar_as_arbiter(self):

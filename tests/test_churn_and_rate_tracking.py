@@ -12,7 +12,7 @@ from repro.network.delay import ConstantDelay, UniformDelay
 from repro.network.topology import full_mesh
 from repro.service.builder import ServerSpec, build_service
 from repro.service.churn import ChurnController
-from repro.service.rate_tracking import RateTrackingServer
+from repro.service.rate_tracking import RateTrackingStage
 
 from tests.helpers import make_mesh_service
 
@@ -166,10 +166,11 @@ class TestRateTracking:
         )
         service.run_until(500.0)
         server = service.servers["S1"]
-        assert isinstance(server, RateTrackingServer)
+        rates = server.stage(RateTrackingStage)
+        assert rates is not None
         assert server.stats.resets > 5
         # Raw time advances at the oscillator rate: 500 s * (1 + 5e-5).
-        assert server.raw_clock_value == pytest.approx(
+        assert rates.raw_clock_value == pytest.approx(
             500.0 * (1 + 5e-5), abs=0.01
         )
 

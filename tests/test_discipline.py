@@ -1,4 +1,4 @@
-"""Tests for the DisciplinedClock and the DiscipliningServer loop."""
+"""Tests for the DisciplinedClock and the DisciplineStage loop."""
 
 from __future__ import annotations
 
@@ -10,7 +10,9 @@ from repro.core.im import IMPolicy
 from repro.network.delay import ConstantDelay
 from repro.network.topology import full_mesh
 from repro.service.builder import ServerSpec, build_service
-from repro.service.discipline import DiscipliningServer
+from repro.service.discipline import DisciplineStage
+from repro.service.rate_tracking import RateTrackingStage
+from repro.service.server import TimeServer
 from repro.experiments import discipline as discipline_experiment
 
 
@@ -85,7 +87,7 @@ class TestDiscipliningServer:
     def test_requires_disciplined_clock(self):
         service = self._build()
         server = service.servers["S1"]
-        assert isinstance(server, DiscipliningServer)
+        assert server.stage(DisciplineStage) is not None
         assert isinstance(server.clock, DisciplinedClock)
 
     def test_converges_toward_zero_skew(self):
@@ -93,7 +95,7 @@ class TestDiscipliningServer:
         service = self._build(skew=raw_skew)
         service.run_until(4.0 * 3600.0)
         server = service.servers["S1"]
-        assert server.discipline_steps > 0
+        assert server.stage(DisciplineStage).discipline_steps > 0
         residual = server.clock.effective_skew(raw_skew)
         assert abs(residual) < raw_skew / 4.0
 
@@ -106,14 +108,13 @@ class TestDiscipliningServer:
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
-            DiscipliningServer(
-                None, "X", DisciplinedClock(DriftingClock(0.0)), 1e-5, None, gain=0.0
-            )
+            DisciplineStage(gain=0.0)
 
     def test_plain_clock_rejected(self):
         with pytest.raises(TypeError):
-            DiscipliningServer(
-                None, "X", DriftingClock(0.0), 1e-5, None
+            TimeServer(
+                None, "X", DriftingClock(0.0), 1e-5, None,
+                stages=[RateTrackingStage(), DisciplineStage()],
             )
 
 

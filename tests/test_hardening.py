@@ -13,11 +13,13 @@ from repro.network.topology import full_mesh
 from repro.network.transport import Network
 from repro.service.builder import ServerSpec, build_service
 from repro.service.hardening import (
-    HardenedTimeServer,
     HardeningConfig,
+    HardeningStage,
     NeighbourHealth,
+    PeerHealth,
     QuarantinePolicy,
     RetryPolicy,
+    hardening_stages,
 )
 from repro.service.messages import RequestKind, TimeReply
 from repro.service.server import TimeServer
@@ -32,7 +34,7 @@ def lone_hardened(initial_error=0.1, config=None, n=3):
     network = Network(
         engine, full_mesh(n), RngRegistry(seed=0), lan_delay=ConstantDelay(0.01)
     )
-    server = HardenedTimeServer(
+    server = TimeServer(
         engine,
         "S1",
         DriftingClock(0.0),
@@ -40,7 +42,7 @@ def lone_hardened(initial_error=0.1, config=None, n=3):
         network,
         policy=None,
         initial_error=initial_error,
-        hardening=config,
+        stages=hardening_stages(config),
     )
     network.register(server)
     server.start()
@@ -138,14 +140,14 @@ class TestNeighbourHealth:
 class TestQuarantineTargeting:
     def test_quarantined_neighbour_not_polled(self):
         engine, network, server = lone_hardened(n=4)
-        server._health("S2").quarantined_until = engine.now + 100.0
+        server.stage(PeerHealth).of("S2").quarantined_until = engine.now + 100.0
         assert server._poll_targets() == ["S3", "S4"]
         assert server.quarantined_peers() == ["S2"]
 
     def test_starvation_guard_readmits_best(self):
         engine, network, server = lone_hardened(n=4)
         for name, score in (("S2", 0.2), ("S3", 0.1), ("S4", 0.05)):
-            record = server._health(name)
+            record = server.stage(PeerHealth).of(name)
             record.quarantined_until = engine.now + 100.0
             record.score = score
         targets = server._poll_targets()
@@ -164,7 +166,7 @@ class TestAdaptiveTimeout:
     def test_defaults_to_static_plus_retry_budget_before_samples(self):
         engine, network, server = lone_hardened()
         server._round_timeout = 2.0
-        budget = server._retry_budget()
+        budget = server.stage(HardeningStage)._retry_budget()
         assert budget == pytest.approx(0.45)  # 0.15 + 0.30, default policy
         assert server._effective_round_timeout() == pytest.approx(2.0 + budget)
 
@@ -181,7 +183,7 @@ class TestAdaptiveTimeout:
         engine, network, server = lone_hardened()
         server._round_timeout = 0.2
         server._observe_reply(reply(0.0, 0.05), 10.0, 0.0)
-        expected = 0.2 + server._retry_budget()
+        expected = 0.2 + server.stage(HardeningStage)._retry_budget()
         assert server._effective_round_timeout() == pytest.approx(expected)
 
     def test_retry_budget_keeps_round_open_on_fast_networks(self):
@@ -228,13 +230,14 @@ class TestBuilderIntegration:
     def test_hardening_flag_builds_hardened_servers(self):
         service = make_mesh_service(3, hardening=HardeningConfig())
         assert all(
-            isinstance(s, HardenedTimeServer) for s in service.servers.values()
+            s.stage(HardeningStage) is not None for s in service.servers.values()
         )
 
     def test_default_build_is_plain(self):
         service = make_mesh_service(3)
         assert all(
-            type(s) is TimeServer for s in service.servers.values()
+            type(s) is TimeServer and not s.stages
+            for s in service.servers.values()
         )
 
     def test_reference_servers_not_hardened(self):
@@ -247,8 +250,8 @@ class TestBuilderIntegration:
         service = build_service(
             graph, specs, policy=MMPolicy(), hardening=HardeningConfig()
         )
-        assert not isinstance(service.servers["S1"], HardenedTimeServer)
-        assert isinstance(service.servers["S2"], HardenedTimeServer)
+        assert service.servers["S1"].stage(HardeningStage) is None
+        assert service.servers["S2"].stage(HardeningStage) is not None
 
 
 class TestHealthFeedback:

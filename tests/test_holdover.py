@@ -4,7 +4,7 @@ Covers the :class:`HoldoverController` pure state machine, the
 :class:`SlewingClock` rails (units plus Hypothesis properties over the
 disciplined-clock composition), discipline persistence across warm
 restarts, the hardened server's empty-neighbour round termination, the
-:class:`HoldoverServer` reset rails and degraded refusal, the holdover
+:class:`HoldoverStage` reset rails and degraded refusal, the holdover
 telemetry gauges and dashboard section, and a blackout-gauntlet smoke
 cell (including replay determinism).
 """
@@ -27,20 +27,26 @@ from repro.experiments.blackout_gauntlet import CELLS, evaluate, run_gauntlet
 from repro.holdover import (
     HoldoverConfig,
     HoldoverController,
-    HoldoverServer,
+    HoldoverStage,
     HoldoverState,
 )
 from repro.network.delay import ConstantDelay, UniformDelay
 from repro.network.topology import full_mesh, star
 from repro.network.transport import Network
+from repro.recovery.server import StabilizingStage
 from repro.recovery.store import Checkpoint, StableStore
 from repro.service.builder import ServerSpec, build_service
+from repro.service.discipline import DisciplineStage
 from repro.service.hardening import (
-    HardenedTimeServer,
     HardeningConfig,
+    HardeningStage,
+    PeerHealth,
     RetryPolicy,
+    hardening_stages,
 )
 from repro.service.messages import RequestKind, TimeRequest
+from repro.service.rate_tracking import RateTrackingStage
+from repro.service.server import TimeServer
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import RngRegistry
 from repro.telemetry import ServiceTelemetry
@@ -413,33 +419,35 @@ class TestDisciplinePersistence:
         service = holdover_star(seed=3)
         service.run_until(400.0)
         server = service.servers["S2"]
-        assert server._estimators, "servo never observed a neighbour"
-        blob = server._encode_discipline()
+        rates = server.stage(RateTrackingStage)
+        discipline = server.stage(DisciplineStage)
+        assert rates._estimators, "servo never observed a neighbour"
+        blob = discipline._encode_discipline()
         pre_correction = server.clock.correction
         pre_obs = {
             name: [
                 (o.local_time, o.offset, o.reading_error)
                 for o in est._obs
             ]
-            for name, est in server._estimators.items()
+            for name, est in rates._estimators.items()
         }
-        pre_delta = dict(server._remote_delta)
+        pre_delta = dict(rates._remote_delta)
 
         # A crash loses RAM and the kernel frequency word.
         server.clock.adjust_rate(server.now, 0.0)
-        server._estimators.clear()
-        server._remote_delta.clear()
+        rates._estimators.clear()
+        rates._remote_delta.clear()
 
-        server._decode_discipline(blob)
+        discipline._decode_discipline(blob)
         assert server.clock.correction == pytest.approx(pre_correction, abs=0.0)
-        assert set(server._estimators) == set(pre_obs)
+        assert set(rates._estimators) == set(pre_obs)
         for name, observations in pre_obs.items():
             restored = [
                 (o.local_time, o.offset, o.reading_error)
-                for o in server._estimators[name]._obs
+                for o in rates._estimators[name]._obs
             ]
             assert restored == observations
-        assert server._remote_delta == pre_delta
+        assert rates._remote_delta == pre_delta
 
     def test_warm_restart_restores_the_servo(self):
         service = holdover_star(seed=3)
@@ -459,10 +467,10 @@ class TestDisciplinePersistence:
         post = server.clock.correction
         assert post != 0.0
         assert post == pytest.approx(pre, rel=0.5, abs=1e-6)
-        assert server._estimators
+        assert server.stage(RateTrackingStage)._estimators
         # The revived server keeps disciplining rather than relearning.
         service.run_until(1100.0)
-        assert server.holdover_state is HoldoverState.SYNCED
+        assert server.holdover.state is HoldoverState.SYNCED
 
     def test_garbled_blob_never_blocks_the_warm_restart(self):
         service = holdover_star(seed=3)
@@ -471,11 +479,11 @@ class TestDisciplinePersistence:
         checkpoint = service.stable_store.read("S2")
         assert checkpoint is not None and checkpoint.discipline
         bad = dataclasses.replace(checkpoint, discipline="0.001~half:a:record")
-        server._restore_checkpoint_extras(bad)
+        server.stage(DisciplineStage).restore_checkpoint(bad)
         # Fallback: servo state cleared, nothing raised.
         assert server.clock.correction == 0.0
-        assert not server._estimators
-        assert not server._remote_delta
+        assert not server.stage(RateTrackingStage)._estimators
+        assert not server.stage(RateTrackingStage)._remote_delta
 
     def test_legacy_checkpoints_decode_without_discipline(self):
         checkpoint = Checkpoint("S1", 1.0, 0.1, 0.0, 2, 7, "rep", 3, "blob")
@@ -496,7 +504,7 @@ def lone_hardened(config=None, **kwargs):
     network = Network(
         engine, full_mesh(3), RngRegistry(seed=0), lan_delay=ConstantDelay(0.01)
     )
-    server = HardenedTimeServer(
+    server = TimeServer(
         engine,
         "S1",
         DriftingClock(0.0),
@@ -507,7 +515,7 @@ def lone_hardened(config=None, **kwargs):
         tau=1000.0,
         first_poll_at=900.0,
         initial_error=0.1,
-        hardening=config,
+        stages=hardening_stages(config),
         **kwargs,
     )
     network.register(server)
@@ -520,9 +528,9 @@ class TestEmptyNeighbourRounds:
         engine, network, server = lone_hardened(HardeningConfig())
         round_ = SimpleNamespace(unsent={"S2", "S3"}, outstanding=set())
         assert server._may_revive(round_)
-        server._health("S2").quarantined_until = engine.now + 1e9
-        assert server._pollable_unsent(round_) == ["S3"]
-        server._health("S3").quarantined_until = engine.now + 1e9
+        server.stage(PeerHealth).of("S2").quarantined_until = engine.now + 1e9
+        assert server.stage(HardeningStage)._pollable_unsent(round_) == ["S3"]
+        server.stage(PeerHealth).of("S3").quarantined_until = engine.now + 1e9
         # Every unsent destination benched: no retry can produce a source.
         assert not server._may_revive(round_)
         assert not server._may_revive(
@@ -536,7 +544,7 @@ class TestEmptyNeighbourRounds:
             HardeningConfig(), round_timeout=500.0
         )
         for name in ("S2", "S3"):
-            server._health(name).quarantined_until = engine.now + 1e9
+            server.stage(PeerHealth).of(name).quarantined_until = engine.now + 1e9
         server._start_round()
         assert server._round.closed, "round held open with nothing to wait for"
 
@@ -556,7 +564,7 @@ class TestEmptyNeighbourRounds:
 
 
 # --------------------------------------------------------------------------
-# HoldoverServer: reset rails and degraded refusal
+# HoldoverStage: reset rails and degraded refusal
 # --------------------------------------------------------------------------
 
 
@@ -570,7 +578,7 @@ class TestHoldoverServerRails:
             lan_delay=ConstantDelay(0.01),
         )
         with pytest.raises(TypeError, match="slewing rails"):
-            HoldoverServer(
+            TimeServer(
                 engine,
                 "S1",
                 DisciplinedClock(DriftingClock(0.0)),
@@ -578,7 +586,12 @@ class TestHoldoverServerRails:
                 network,
                 policy=MMPolicy(),
                 tau=30.0,
-                store=StableStore(),
+                stages=[
+                    RateTrackingStage(),
+                    StabilizingStage(StableStore()),
+                    DisciplineStage(),
+                    HoldoverStage(),
+                ],
             )
 
     def test_insane_reset_refused_before_any_bookkeeping(self):
@@ -619,7 +632,7 @@ class TestHoldoverServerRails:
         service = holdover_star()
         service.run_until(200.0)
         server = service.servers["S2"]
-        assert server.holdover_state is HoldoverState.SYNCED
+        assert server.holdover.state is HoldoverState.SYNCED
         decision = ResetDecision(
             clock_value=server.clock_value() - 0.02,
             inherited_error=0.01,
@@ -639,7 +652,7 @@ class TestHoldoverServerRails:
             now_local, error=0.05, drift=1e-5, reason="test"
         )
         server.holdover.tick(now_local + server.holdover_config.trust_horizon + 1)
-        assert server.holdover_state is HoldoverState.DEGRADED
+        assert server.holdover.state is HoldoverState.DEGRADED
         answered = server.stats.requests_answered
         server._answer(
             TimeRequest(
@@ -665,7 +678,7 @@ class TestHoldoverServerRails:
         )
         frozen = server.clock.correction
         adjustments = server.clock.inner.adjustments
-        server._discipline_step()
+        server.stage(DisciplineStage)._discipline_step()
         assert server.clock.correction == frozen
         assert server.clock.inner.adjustments == adjustments
 

@@ -1,4 +1,4 @@
-"""Behavioural tests for :class:`repro.load.server.LoadAwareServer`."""
+"""Behavioural tests for :class:`repro.load.server.LoadStage`."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.load.capacity import CapacityConfig, ServiceClass
-from repro.load.server import LoadPolicy
+from repro.load.server import LoadPolicy, LoadStage
 from repro.load.admission import TokenBucketConfig
 from repro.network.delay import ConstantDelay
 from repro.service.builder import ServerSpec, build_service
@@ -207,11 +207,12 @@ class TestDegradedMode:
         )
         server = service.servers["S"]
         service.engine.run(until=5.0)
-        before = server._cache
+        load = server.stage(LoadStage)
+        before = load._cache
         # Any reset (here via the public clock interface + cache refresh
         # hook) must retake the cache so the age arithmetic stays sound.
-        server._refresh_cache()
-        after = server._cache
+        load._refresh_cache()
+        after = load._cache
         assert after != before
 
     def test_busy_reply_never_feeds_a_peer(self):

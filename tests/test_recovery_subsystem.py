@@ -181,7 +181,7 @@ class TestConsistencyCensus:
 
 
 class _StubServer:
-    """The slice of SelfStabilizingServer the stabilizer consults."""
+    """The slice of a stabilizing server the stabilizer consults."""
 
     def __init__(self, now_local: float = 1000.0):
         self._now = now_local

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.security` units (keyring rotation, canonical
 encoding, MAC sign/verify, the anti-replay window, the delay guard), the
-:class:`~repro.security.server.AuthenticationMixin` enforcement order,
+:class:`~repro.security.server.SecurityStage` enforcement order,
 the nonce-keyed cross-round reply defense, and the quarantine /
 falseticker escalation fed by repeated security rejections.
 """
@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.byzantine import ByzantineConfig
+from repro.byzantine import ByzantineConfig, ByzantineStage
 from repro.core.ft_im import FTIMPolicy
 from repro.core.mm import MMPolicy
 from repro.faults import FaultSchedule, MessageTamper
@@ -21,17 +21,17 @@ from repro.faults.injector import FaultInjector
 from repro.network.delay import UniformDelay
 from repro.network.topology import full_mesh
 from repro.security import (
-    AuthenticatedByzantineServer,
-    AuthenticatedTimeServer,
     DelayGuard,
     Keyring,
     MessageAuthenticator,
     ReplayGuard,
     SecurityConfig,
+    SecurityStage,
     canonical_decode,
     canonical_encode,
 )
 from repro.service.builder import ServerSpec, build_service
+from repro.service.hardening import HardeningStage
 from repro.service.messages import RequestKind, TimeReply, TimeRequest
 
 pytestmark = pytest.mark.security
@@ -263,14 +263,15 @@ class TestDelayGuard:
             DelayGuard(1e-4, slack=-1.0)
 
 
-# ----------------------------------------------------------- mixin wiring
+# ----------------------------------------------------------- stage wiring
 
 
 class TestAuthenticatedService:
     def test_builder_produces_authenticated_servers(self):
         service = make_secure_mesh(3)
         for server in service.servers.values():
-            assert isinstance(server, AuthenticatedTimeServer)
+            assert server.stage(SecurityStage) is not None
+            assert server.stage(HardeningStage) is not None
 
     def test_authenticated_mesh_converges_cleanly(self):
         service = make_secure_mesh(3, tau=30.0)
@@ -285,7 +286,8 @@ class TestAuthenticatedService:
     def test_byzantine_composition(self):
         service = make_secure_mesh(4, byzantine=True)
         for server in service.servers.values():
-            assert isinstance(server, AuthenticatedByzantineServer)
+            assert server.stage(SecurityStage) is not None
+            assert server.stage(ByzantineStage) is not None
         service.run_until(200.0)
         assert service.snapshot().all_correct
 
