@@ -3,9 +3,11 @@
 Five time-server processes run on loopback UDP under a
 :class:`~repro.runtime.supervisor.ClusterSupervisor`, every data packet
 routed through a :class:`~repro.runtime.proxy.ChaosProxy` injecting 10%
-steady loss, a delay spike, and an on-path tamper window, while one node
-is crashed with ``SIGKILL`` mid-run and restarted by the supervisor's
-backoff machinery.  Two arms run the identical scenario:
+steady loss, a replay window and a delay attack, a delay spike, and an
+on-path tamper window (:func:`fault_events`, read by the same
+interpreter as the simulator's), while one node is crashed with
+``SIGKILL`` mid-run and restarted by the supervisor's backoff machinery.
+Two arms run the identical scenario:
 
 * **plain** — the paper's trusting :class:`~repro.service.server.
   TimeServer`.  Rule MM-2's consistency check makes a steady-state
@@ -21,9 +23,10 @@ backoff machinery.  Two arms run the identical scenario:
   wrong, and the live invariant probes count every 50 ms of it.
 * **hardened** — a node of kind ``authenticated``: hardening +
   authentication (:class:`~repro.security.server.SecurityStage`) +
-  slewing rails.  Tampered replies fail
-  their MAC, delay physics guard the spike, pending slew is charged to
-  ``ε``, and every adopted interval stays MM-1-valid: the acceptance
+  slewing rails.  Tampered and re-labelled (delay-attack) replies fail
+  their MAC, replayed traffic meets the anti-replay window (both counts
+  are in the report), delay physics guard the spike, pending slew is
+  charged to ``ε``, and every adopted interval stays MM-1-valid: the acceptance
   bar is **zero** MM-1 and **zero** monotonicity violations over the
   whole run.
 
@@ -43,12 +46,12 @@ import socket
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..faults.schedule import DelaySpike, MessageTamper
+from ..faults.schedule import DelayAttack, DelaySpike, FaultEvent, MessageReplay, MessageTamper
 from ..runtime.proxy import ChaosProxy
 from ..runtime.supervisor import ClusterSupervisor, NodeSpec, RestartPolicy
 from . import harness
 
-__all__ = ["EXPERIMENTS", "main", "run"]
+__all__ = ["EXPERIMENTS", "fault_events", "main", "run"]
 
 TAU = 0.75
 #: Measurement window per arm, seconds of wall time.
@@ -62,6 +65,12 @@ LOSS = 0.10
 TAMPER_OFFSET = -0.06
 SCRAPE_PERIOD = 0.5
 CRASH_VICTIM = "S4"
+#: Replayed copies land this long after the original — longer than τ,
+#: so each copy arrives in a later poll round.
+REPLAY_HOLD = 1.0
+#: The delay attack: S3's polls of the anchor S1 are answered from a
+#: held-back reply, implausibly fast.
+DELAY_VICTIM, DELAY_UPSTREAM = "S3", "S1"
 
 #: (name, skew, claimed delta, initial offset, initial error).  The
 #: anchor S1 claims δ ten times tighter than the loose servers, so the
@@ -86,6 +95,35 @@ def _free_ports(count: int, host: str = "127.0.0.1") -> List[int]:
     finally:
         for sock in socks:
             sock.close()
+
+
+def fault_events(start: float, duration: float) -> List[FaultEvent]:
+    """The proxy's fault plan on the cluster's axis, for a measurement
+    window opening at ``start``.
+
+    A replay window and a delay attack come first, then the delay spike;
+    the tamper window brackets the crash victim's backoff + respawn +
+    first poll round, and both anchors are tampered so the rejoiner's
+    first-arriving reply is a forgery even under the steady 10% loss.
+    """
+    return [
+        MessageReplay(at=start + 0.05 * duration, a="S1", hold=REPLAY_HOLD,
+                      probability=1.0, duration=0.15 * duration),
+        DelayAttack(at=start + 0.10 * duration, a=DELAY_VICTIM, b=DELAY_UPSTREAM,
+                    duration=0.20 * duration),
+        DelaySpike(at=start + 0.20 * duration, scale=1.0,
+                   extra=0.15, duration=0.15 * duration),
+        MessageTamper(at=start + 0.35 * duration, a="S1", offset=TAMPER_OFFSET,
+                      probability=1.0, duration=0.35 * duration),
+        MessageTamper(at=start + 0.35 * duration, a="S2", offset=TAMPER_OFFSET,
+                      probability=1.0, duration=0.35 * duration),
+    ]
+
+
+def proxy_report(proxy: ChaosProxy) -> Dict[str, int]:
+    """What the relay did (``ProxyStats``) plus what the message-level
+    adversary did, under the interpreter's shared counter names."""
+    return {**vars(proxy.stats), **vars(proxy.message_faults.stats)}
 
 
 def _accumulate(series: List[Dict[str, Any]]) -> Dict[str, float]:
@@ -175,23 +213,7 @@ async def _run_arm(
         booted = await supervisor.wait_ready(timeout=45.0)
         start = time.monotonic() - epoch  # measurement-window origin, axis time
         if with_faults:
-            # The tamper window brackets the crash victim's backoff +
-            # respawn + first poll round; both anchors are tampered so
-            # the rejoiner's first-arriving reply is a forgery even
-            # under the steady 10% loss.
-            tamper_at = start + 0.35 * duration
-            tamper_for = 0.35 * duration
-            proxy.events = sorted(
-                [
-                    DelaySpike(at=start + 0.20 * duration, scale=1.0,
-                               extra=0.15, duration=0.15 * duration),
-                    MessageTamper(at=tamper_at, a="S1", offset=TAMPER_OFFSET,
-                                  probability=1.0, duration=tamper_for),
-                    MessageTamper(at=tamper_at, a="S2", offset=TAMPER_OFFSET,
-                                  probability=1.0, duration=tamper_for),
-                ],
-                key=lambda e: e.at,
-            )
+            proxy.events = fault_events(start, duration)
         crashed = False
         crash_elapsed = 0.30 * duration
         while time.monotonic() - epoch - start < duration:
@@ -222,6 +244,7 @@ async def _run_arm(
     nodes: Dict[str, Any] = {}
     mm1_total = 0
     mono_total = 0
+    security: Dict[str, int] = {}
     xi_live = 0.0
     rtt_count = 0
     for name in names:
@@ -245,6 +268,8 @@ async def _run_arm(
         }
         mm1_total += int(inv["mm1_violations"])
         mono_total += int(inv["monotonicity_violations"])
+        for key, count in (nodes[name]["security"] or {}).items():
+            security[key] = security.get(key, 0) + count
 
     return {
         "arm": arm,
@@ -261,7 +286,9 @@ async def _run_arm(
         "rtt_count": rtt_count,
         "crash_restarts": supervisor.crash_restarts,
         "drained": drained,
-        "proxy": vars(proxy.stats).copy(),
+        "proxy": proxy_report(proxy),
+        # Summed over nodes' last scrapes (a restart resets its node's).
+        "security": security,
     }
 
 
@@ -333,6 +360,14 @@ def main(
                 f"xi_live={res['xi_live']:.4f}s (declared {res['xi_declared']:.2f}s) "
                 f"rtt_n={res['rtt_count']} restarts={res['crash_restarts']}"
             )
+            attacks = res["proxy"]
+            print(
+                f"{'':>16} adversary: tampered={attacks['messages_tampered']} "
+                f"replayed={attacks['messages_replayed']} "
+                f"swallowed={attacks['replies_delayed']}; rejected: "
+                f"mac={res['security'].get('auth_failures', 0)} "
+                f"replay={res['security'].get('replay_drops', 0)}"
+            )
     print(f"live gauntlet: {'PASS' if all_ok else 'FAIL'}")
     harness.write_report(
         json_path,
@@ -347,8 +382,8 @@ EXPERIMENTS = (
     harness.Experiment(
         "live-gauntlet",
         "real-socket runtime plane: a supervised 5-process loopback "
-        "UDP cluster behind a fault-injecting proxy (10%% loss, delay "
-        "spike, on-path tamper, SIGKILL crash/restart) — plain vs "
+        "UDP cluster behind a fault-injecting proxy (10%% loss, replay, "
+        "delay attack, delay spike, on-path tamper, SIGKILL crash/restart) — plain vs "
         "hardened+authenticated arms under live MM-1 probes",
         main,
         {

@@ -28,7 +28,7 @@ Each run is watched by the **strict** invariant oracle (no fault
 schedule, hence no exemption windows: a poisoned victim is a violation,
 full stop) and by a taint oracle: the injector remembers the identity
 of every forged/replayed reply it delivered
-(:func:`~repro.faults.injector.taint_key`), and every server's reply
+(:func:`~repro.faults.messages.taint_key`), and every server's reply
 acceptance path is wrapped to count how many of those poisoned
 messages it *accepted*.
 
@@ -60,7 +60,8 @@ from ..faults import (
     MessageTamper,
     SpoofedReply,
 )
-from ..faults.injector import FaultInjector, taint_key
+from ..faults.injector import FaultInjector
+from ..faults.messages import taint_key
 from ..network.delay import UniformDelay
 from ..network.topology import full_mesh
 from ..security import Keyring, SecurityConfig
@@ -243,7 +244,7 @@ def _arm_taint_oracle(
         def wrapped(
             reply, rtt_local, local_now, _orig=original, _name=name
         ):
-            if taint_key(reply) in injector.taint_keys:
+            if taint_key(reply) in injector.message_faults.taint_keys:
                 accepted_tainted[_name] += 1
             _orig(reply, rtt_local, local_now)
 

@@ -5,7 +5,9 @@ Three pieces, composable but independent:
 * :mod:`~repro.faults.schedule` — a declarative, deterministic fault
   timeline (build programmatically or sample one from a seed);
 * :mod:`~repro.faults.injector` — a process that replays a schedule
-  against the live network, links, clocks and servers;
+  against the live network, links, clocks and servers, reading the
+  message-level events through :mod:`~repro.faults.messages` (the
+  interpreter the live relay shares);
 * :mod:`~repro.faults.monitor` — a continuous oracle asserting the
   paper's correctness invariants for every non-faulty server.
 
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .injector import FaultInjector, InjectorStats, taint_key
+from .injector import FaultInjector, InjectorStats
+from .messages import MessageFaults, MessageFaultStats, taint_key
 from .monitor import InvariantMonitor, MonitorStats, Violation
 from .schedule import (
     ADVERSARY_FAULT_KINDS,
@@ -55,6 +58,7 @@ from .schedule import (
     TopologyRewire,
     TornCheckpoint,
     TotalPartition,
+    touches,
 )
 
 __all__ = [
@@ -79,6 +83,8 @@ __all__ = [
     "LossBurst",
     "MessageCorruption",
     "MessageDuplication",
+    "MessageFaultStats",
+    "MessageFaults",
     "MessageReorder",
     "MessageReplay",
     "MessageTamper",
@@ -94,6 +100,7 @@ __all__ = [
     "Violation",
     "attach_chaos",
     "taint_key",
+    "touches",
 ]
 
 

@@ -16,10 +16,18 @@ or sampled from a seeded RNG for soak runs::
         seed=7, names=names, edges=edges, horizon=3600.0
     )
 
-Events are frozen dataclasses; the schedule itself is just sorted data.
-Interpretation lives in :class:`~repro.faults.injector.FaultInjector`, and
-:meth:`FaultSchedule.signature` gives a stable fingerprint used by the
-deterministic-replay tests (same seed ⇒ identical timeline).
+Events are frozen dataclasses; the schedule itself is just sorted data,
+plus the one rule every reader applies to an event's endpoints
+(:func:`touches`).  Interpretation lives in two places, one per kind of
+event: the message-level kinds are read once, by
+:class:`~repro.faults.messages.MessageFaults`, whose taps both planes
+run; link, server, checkpoint and topology kinds are realised by the
+simulator's :class:`~repro.faults.injector.FaultInjector`, and the live
+:class:`~repro.runtime.proxy.ChaosProxy` realises the link kinds as
+on-path gates and refuses the rest by name (docs/runtime.md has the
+per-kind table).  :meth:`FaultSchedule.signature` gives a stable
+fingerprint used by the deterministic-replay tests (same seed ⇒
+identical timeline).
 
 Event menu (mirroring the failure modes of Section 1.1 plus the network
 pathologies the paper assumes away):
@@ -53,7 +61,9 @@ pathologies the paper assumes away):
 :class:`SpoofedReply`  off-link adversary races forged replies to a victim
 =====================  =====================================================
 
-The last three mutate the topology itself (Section 1.1's unstable
+Every "edge ``(a, b)``" below is matched by :func:`touches`, so an empty
+endpoint is a wildcard.  ``EdgeChurn``, ``TopologyRewire`` and
+``MobilityTrace`` mutate the topology itself (Section 1.1's unstable
 membership taken literally); they require the injector to be attached to
 a :class:`~repro.dynamic.topology.DynamicTopology` and are skipped with a
 trace note otherwise.
@@ -86,6 +96,22 @@ class FaultEvent:
             if f.name != "at"
         )
         return f"t={self.at:.3f} {self.kind}({parts})"
+
+
+def touches(event: FaultEvent, source: str, destination: str) -> bool:
+    """Whether ``event`` applies to the edge ``source``–``destination``.
+
+    The DSL's one edge rule, for every event with ``a``/``b`` endpoints
+    (and :class:`ReferenceBlackout`'s ``servers``), on both planes:
+    ``a`` and ``b`` both set name one edge, unordered; named servers
+    alone mean every edge touching any of them; no name means every
+    edge.
+    """
+    a, b = getattr(event, "a", ""), getattr(event, "b", "")
+    if a and b:
+        return {a, b} == {source, destination}
+    named = (a or b,) if a or b else getattr(event, "servers", ())
+    return not named or source in named or destination in named
 
 
 # --------------------------------------------------------------- link faults
@@ -335,7 +361,7 @@ class MessageTamper(FaultEvent):
     """An on-path adversary rewrites poll replies crossing edge ``(a, b)``.
 
     Each :class:`~repro.service.messages.TimeReply` crossing the edge
-    (either direction; every edge when ``a``/``b`` are empty) has its
+    (either direction; see :func:`touches` for empty endpoints) has its
     reported clock value shifted by ``offset`` with ``probability``, for
     ``duration`` seconds.  The authentication tag — if any — is left
     as-is, so on an authenticated cluster the tamper is exactly what a

@@ -15,7 +15,7 @@ schedules deliveries.  It exposes:
   fault-injection experiments;
 * message taps (:meth:`add_tap` / :meth:`remove_tap`) — an interception
   hook the chaos injector uses to corrupt, duplicate, reorder, or drop
-  individual messages in flight.
+  individual messages in flight, chained by :func:`run_taps`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,181 @@ class NetworkStats:
 MessageTap = Callable[[str, str, Any, float], Optional[List[Tuple[Any, float]]]]
 
 
-class Network:
+def run_taps(
+    taps: Iterable[MessageTap], source: str, destination: str, message: Any, delay: float
+) -> Tuple[List[Tuple[Any, float]], int]:
+    """Chain ``taps`` over one message: ``(deliveries, taps that acted)``.
+
+    Each tap sees every delivery the taps before it produced, so a
+    duplicated message is tampered with twice.  The count is what
+    ``NetworkStats.tapped`` adds up: one per tap call that returned
+    deliveries instead of ``None``.  Every transport (the simulator's
+    :class:`Network`, the live ``UdpTransport`` and the on-path
+    ``ChaosProxy``) chains taps through here.
+    """
+    deliveries = [(message, delay)]
+    acted = 0
+    for tap in taps:
+        rewritten: List[Tuple[Any, float]] = []
+        for msg, dly in deliveries:
+            out = tap(source, destination, msg, dly)
+            if out is None:
+                rewritten.append((msg, dly))
+            else:
+                acted += 1
+                rewritten.extend(out)
+        deliveries = rewritten
+    return deliveries, acted
+
+
+def partition_gate(groups: Iterable[Iterable[str]]) -> Callable[[str, str], bool]:
+    """``cut(a, b)``: whether a partition into ``groups`` separates the two.
+
+    Names in the same group keep communicating; different groups, and
+    names in no group at all, are cut off.
+    """
+    side = {name: index for index, group in enumerate(groups) for name in group}
+
+    def cut(a: str, b: str) -> bool:
+        mine = side.get(a)
+        return mine is None or mine != side.get(b)
+
+    return cut
+
+
+class Transport:
+    """What every transport shares over a topology graph.
+
+    The simulator's :class:`Network` and the live
+    :class:`~repro.runtime.transport.UdpTransport` present one contract
+    to the policy core.  The part that does not depend on how a message
+    moves — endpoint registry, neighbour queries, edge add/remove,
+    message taps and directed broadcast — is written once, here; a
+    subclass supplies ``send``, ``link``, ``xi`` and partitions.
+    """
+
+    def __init__(self, graph: nx.Graph) -> None:
+        self.graph = graph
+        self._processes: Dict[str, Any] = {}
+        self._taps: List[MessageTap] = []
+        self._topology_version = 0
+
+    @staticmethod
+    def _key(a: str, b: str) -> Tuple[str, str]:
+        return (a, b) if a <= b else (b, a)
+
+    def register(self, process: SimProcess) -> None:
+        """Attach a process as the endpoint for its (topology node) name.
+
+        Raises:
+            KeyError: If the name is not a node of the topology.
+            ValueError: If the name is already registered.
+        """
+        if process.name not in self.graph:
+            raise KeyError(f"{process.name!r} is not a node of the topology")
+        if process.name in self._processes:
+            raise ValueError(f"{process.name!r} already registered")
+        self._processes[process.name] = process
+
+    def process(self, name: str) -> SimProcess:
+        """The endpoint registered (on this host, for a live transport)
+        for ``name``."""
+        return self._processes[name]
+
+    def neighbours(self, name: str) -> list[str]:
+        """Sorted neighbour names of ``name``."""
+        return sorted(self.graph.neighbors(name))
+
+    @property
+    def names(self) -> list[str]:
+        """All server names, sorted."""
+        return sorted(self.graph.nodes)
+
+    @property
+    def topology_version(self) -> int:
+        """Monotonic counter bumped on every live topology mutation.
+
+        Consumers that cache per-edge state (the telemetry sampler's
+        gauge rows, for instance) compare this against their last seen
+        value instead of re-scanning the edge set every sample.
+        """
+        return self._topology_version
+
+    def add_edge(self, a: str, b: str, *, kind: Optional[str] = None) -> None:
+        """Create a live edge between two existing nodes.
+
+        Idempotent: adding an existing edge is a no-op.
+
+        Args:
+            a: One endpoint (must be a topology node).
+            b: The other endpoint.
+            kind: ``"lan"``/``"wan"`` delay class for a brand-new edge;
+                defaults to lan.
+
+        Raises:
+            KeyError: If either endpoint is not a node of the topology.
+            ValueError: If ``a == b``.
+        """
+        for name in (a, b):
+            if name not in self.graph:
+                raise KeyError(f"{name!r} is not a node of the topology")
+        if a == b:
+            raise ValueError(f"cannot add a self-edge on {a!r}")
+        if self.graph.has_edge(a, b):
+            return
+        self.graph.add_edge(a, b, kind=kind or "lan")
+        self._edge_added(a, b, kind)
+        self._topology_version += 1
+
+    def _edge_added(self, a: str, b: str, kind: Optional[str]) -> None:
+        """Per-edge state for a fresh edge; none by default."""
+
+    def remove_edge(self, a: str, b: str) -> None:
+        """Remove a live edge; a no-op when the edge does not exist.
+
+        Only the graph changes: the simulator keeps the :class:`Link`
+        object (unreachable — sends gate on the graph) so a later
+        ``add_edge`` restores the same link and its fault state stays
+        attributable.
+        """
+        if not self.graph.has_edge(a, b):
+            return
+        self.graph.remove_edge(a, b)
+        self._topology_version += 1
+
+    def add_tap(self, tap: MessageTap) -> None:
+        """Install a message tap (taps run in installation order)."""
+        self._taps.append(tap)
+
+    def remove_tap(self, tap: MessageTap) -> None:
+        """Remove a previously installed tap; unknown taps are ignored."""
+        try:
+            self._taps.remove(tap)
+        except ValueError:
+            pass
+
+    def broadcast(self, source: str, message_factory, targets: Optional[Iterable[str]] = None) -> int:
+        """Directed broadcast: send to each target (default: all neighbours).
+
+        Args:
+            source: Sending server.
+            message_factory: Callable ``(destination) -> message`` so each
+                copy can carry its addressee (needed for reply matching).
+            targets: Explicit recipient list; defaults to the topology
+                neighbours of ``source``.
+
+        Returns:
+            Number of messages accepted for delivery.
+        """
+        recipients = list(targets) if targets is not None else self.neighbours(source)
+        accepted = 0
+        for destination in recipients:
+            if self.send(source, destination, message_factory(destination)):
+                accepted += 1
+        return accepted
+
+
+class Network(Transport):
     """The simulated internetwork connecting the time servers.
 
     Args:
@@ -81,17 +255,14 @@ class Network:
         long_haul: Optional[DelayModel] = None,
     ) -> None:
         validate_topology(graph)
+        super().__init__(graph)
         self.engine = engine
-        self.graph = graph
         self._rng = rng
         self._lan_delay = lan_delay
         self._wan_delay = wan_delay if wan_delay is not None else lan_delay
         self._long_haul = long_haul
         self._loss_probability = float(loss_probability)
-        self._processes: Dict[str, SimProcess] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        self._taps: List[MessageTap] = []
-        self._topology_version = 0
         self._xi_cache: Optional[Tuple[int, float]] = None
         self.stats = NetworkStats()
         for a, b, data in graph.edges(data=True):
@@ -102,27 +273,6 @@ class Network:
 
     # ------------------------------------------------------------- plumbing
 
-    @staticmethod
-    def _key(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def register(self, process: SimProcess) -> None:
-        """Attach a process as the endpoint for its (topology node) name.
-
-        Raises:
-            KeyError: If the name is not a node of the topology.
-            ValueError: If the name is already registered.
-        """
-        if process.name not in self.graph:
-            raise KeyError(f"{process.name!r} is not a node of the topology")
-        if process.name in self._processes:
-            raise ValueError(f"{process.name!r} already registered")
-        self._processes[process.name] = process
-
-    def process(self, name: str) -> SimProcess:
-        """The registered endpoint for ``name``."""
-        return self._processes[name]
-
     def link(self, a: str, b: str) -> Link:
         """The link object for edge ``(a, b)``.
 
@@ -131,48 +281,11 @@ class Network:
         """
         return self._links[self._key(a, b)]
 
-    def neighbours(self, name: str) -> list[str]:
-        """Sorted neighbour names of ``name``."""
-        return sorted(self.graph.neighbors(name))
-
-    # ------------------------------------------------------- live mutation
-
-    @property
-    def topology_version(self) -> int:
-        """Monotonic counter bumped on every live topology mutation.
-
-        Consumers that cache per-edge state (the telemetry sampler's
-        gauge rows, for instance) compare this against their last seen
-        value instead of re-scanning the edge set every sample.
-        """
-        return self._topology_version
-
-    def add_edge(self, a: str, b: str, *, kind: Optional[str] = None) -> None:
-        """Create a live edge between two existing nodes.
-
-        Idempotent: adding an existing edge is a no-op.  When the edge
-        existed before (was removed by churn), its old :class:`Link` is
-        reused — brought up, but keeping its delay model — so a restored
-        path behaves like the same physical link coming back.
-
-        Args:
-            a: One endpoint (must be a topology node).
-            b: The other endpoint.
-            kind: ``"lan"``/``"wan"`` delay class for a brand-new edge;
-                defaults to lan.  Ignored when reusing a prior link.
-
-        Raises:
-            KeyError: If either endpoint is not a node of the topology.
-            ValueError: If ``a == b``.
-        """
-        for name in (a, b):
-            if name not in self.graph:
-                raise KeyError(f"{name!r} is not a node of the topology")
-        if a == b:
-            raise ValueError(f"cannot add a self-edge on {a!r}")
-        if self.graph.has_edge(a, b):
-            return
-        self.graph.add_edge(a, b, kind=kind or "lan")
+    def _edge_added(self, a: str, b: str, kind: Optional[str]) -> None:
+        # A restored edge (removed by churn earlier) reuses its old Link —
+        # brought up, keeping its delay model — so the path behaves like
+        # the same physical link coming back; ``kind`` only picks the
+        # delay class of a brand-new one.
         key = self._key(a, b)
         link = self._links.get(key)
         if link is None:
@@ -182,37 +295,6 @@ class Network:
             )
         else:
             link.bring_up()
-        self._topology_version += 1
-
-    def remove_edge(self, a: str, b: str) -> None:
-        """Remove a live edge; a no-op when the edge does not exist.
-
-        The underlying :class:`Link` object is kept (unreachable — sends
-        gate on the graph) so a later :meth:`add_edge` restores the same
-        link and its fault state stays attributable.
-        """
-        if not self.graph.has_edge(a, b):
-            return
-        self.graph.remove_edge(a, b)
-        self._topology_version += 1
-
-    # ------------------------------------------------------------------ taps
-
-    def add_tap(self, tap: MessageTap) -> None:
-        """Install a message tap (taps run in installation order)."""
-        self._taps.append(tap)
-
-    def remove_tap(self, tap: MessageTap) -> None:
-        """Remove a previously installed tap; unknown taps are ignored."""
-        try:
-            self._taps.remove(tap)
-        except ValueError:
-            pass
-
-    @property
-    def names(self) -> list[str]:
-        """All server names, sorted."""
-        return sorted(self.graph.nodes)
 
     @property
     def xi(self) -> float:
@@ -267,16 +349,8 @@ class Network:
             return False
         deliveries: List[Tuple[Any, float]] = [(message, delay)]
         if self._taps:
-            for tap in self._taps:
-                rewritten: List[Tuple[Any, float]] = []
-                for msg, dly in deliveries:
-                    out = tap(source, destination, msg, dly)
-                    if out is None:
-                        rewritten.append((msg, dly))
-                    else:
-                        self.stats.tapped += 1
-                        rewritten.extend(out)
-                deliveries = rewritten
+            deliveries, acted = run_taps(self._taps, source, destination, message, delay)
+            self.stats.tapped += acted
             if not deliveries:
                 self.stats.dropped += 1
                 return False
@@ -294,26 +368,6 @@ class Network:
         self.stats.delivered += 1
         target.deliver(message, sender)  # type: ignore[arg-type]
 
-    def broadcast(self, source: str, message_factory, targets: Optional[Iterable[str]] = None) -> int:
-        """Directed broadcast: send to each target (default: all neighbours).
-
-        Args:
-            source: Sending server.
-            message_factory: Callable ``(destination) -> message`` so each
-                copy can carry its addressee (needed for reply matching).
-            targets: Explicit recipient list; defaults to the topology
-                neighbours of ``source``.
-
-        Returns:
-            Number of messages accepted for delivery.
-        """
-        recipients = list(targets) if targets is not None else self.neighbours(source)
-        accepted = 0
-        for destination in recipients:
-            if self.send(source, destination, message_factory(destination)):
-                accepted += 1
-        return accepted
-
     # ----------------------------------------------------------- partitions
 
     def partition(self, groups: Iterable[Iterable[str]]) -> None:
@@ -324,17 +378,9 @@ class Network:
         partitioned.  Long-haul sends are unaffected by partitions only if
         both ends are in the same group.
         """
-        membership: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for name in group:
-                membership[name] = index
+        cut = partition_gate(groups)
         for (a, b), link in self._links.items():
-            same = (
-                a in membership
-                and b in membership
-                and membership[a] == membership[b]
-            )
-            link.partitioned = not same
+            link.partitioned = cut(a, b)
 
     def heal(self) -> None:
         """Remove any partition (link up/down flags are untouched)."""

@@ -4,15 +4,20 @@
 packet of the cluster is addressed to the proxy (the transports' ``via``
 option), which decodes the wire frame, consults the fault plan active at
 the current axis time, and forwards — or delays, duplicates, reorders,
-corrupts, tampers with, or drops — the real datagram.
+corrupts, tampers with, replays, swallows, or drops — the real datagram,
+racing forged ones of its own where the plan says so.
 
-The plan speaks the repo's existing fault-schedule DSL
-(:mod:`repro.faults.schedule`): the same frozen event dataclasses the
-simulated chaos injector interprets against message taps are here
-interpreted against sockets, so one experiment description drives both
-planes.  Events the live relay cannot realise (clock faults, checkpoint
-corruption — those live *inside* a node) are ignored; ``ServerCrash``
-belongs to the supervisor's :meth:`kill`.
+The plan is the repo's fault-schedule DSL (:mod:`repro.faults.schedule`),
+read as the simulator reads it.  Link-level events are gates on the
+path: partitions, blackouts and flaps drop, a ``LossBurst`` adds loss
+(combined with the steady loss as ``1 − Π(1 − p)``, like the simulator's
+links), a ``DelaySpike`` holds the packet; endpoints match by
+:func:`~repro.faults.schedule.touches`.  Message-level events run the
+taps of the interpreter the simulator's injector installs
+(:class:`~repro.faults.messages.MessageFaults`) over the decoded
+datagram in schedule order; only an edited message is re-encoded.  Any
+other event is refused, never ignored: :attr:`ChaosProxy.events` raises
+``ValueError`` naming who owns it (see :data:`REFUSED`).
 
 Determinism: all randomness comes from one seeded numpy generator, and
 the *decision sequence* per packet is fixed; given the same packet
@@ -22,7 +27,8 @@ real — this is a live plane, not a simulation.)
 The packet-level logic is pure (:meth:`plan`): given bytes, endpoints,
 and a time, it returns the ``(payload, extra_delay)`` deliveries to
 make, so the whole fault matrix is unit-testable without opening a
-socket.
+socket; only the adversary's own injections (a replayed copy, a
+delay-attack or spoofed reply) go through the event loop.
 """
 
 from __future__ import annotations
@@ -30,21 +36,29 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..faults.messages import MessageFaults
 from ..faults.schedule import (
+    TOPOLOGY_FAULT_KINDS,
+    CheckpointCorruption,
+    ClockFreeze,
+    ClockRace,
+    ClockStep,
     DelaySpike,
     FaultEvent,
     LinkFlap,
     LossBurst,
-    MessageCorruption,
-    MessageDuplication,
-    MessageReorder,
-    MessageTamper,
     PartitionFault,
+    ReferenceBlackout,
+    ServerCrash,
+    TornCheckpoint,
+    TotalPartition,
+    touches,
 )
+from ..network.transport import MessageTap, partition_gate, run_taps
 from ..service.messages import TimeReply, TimeRequest
 from . import wire
 
@@ -52,40 +66,31 @@ __all__ = ["ChaosProxy", "ProxyStats"]
 
 Address = Tuple[str, int]
 
+#: Link-level kinds the relay realises as gates on the path.
+GATES = (PartitionFault, TotalPartition, ReferenceBlackout, LinkFlap, LossBurst, DelaySpike)
+
+#: Kinds the relay refuses, and who realises them instead.
+REFUSED = {
+    ServerCrash: "ClusterSupervisor.kill",
+    **dict.fromkeys(
+        (ClockStep, ClockFreeze, ClockRace, CheckpointCorruption, TornCheckpoint),
+        "the node itself (clocks and checkpoints live inside it)",
+    ),
+    **dict.fromkeys(TOPOLOGY_FAULT_KINDS, "no one: the live plane has no dynamic-topology layer"),
+}
+
 
 @dataclasses.dataclass
 class ProxyStats:
-    """What the relay did to the traffic."""
+    """What the relay itself did to the traffic (the message-level
+    adversary's counters are ``ChaosProxy.message_faults.stats``)."""
 
     relayed: int = 0
     dropped_loss: int = 0
     dropped_partition: int = 0
-    dropped_flap: int = 0
+    dropped_flap: int = 0  # link down: a flap or a blackout
     dropped_unroutable: int = 0
     delayed: int = 0
-    duplicated: int = 0
-    reordered: int = 0
-    corrupted: int = 0
-    tampered: int = 0
-
-
-def _window(event: FaultEvent) -> float:
-    """The active duration of an event (``downtime`` for flaps)."""
-    if isinstance(event, LinkFlap):
-        return event.downtime
-    return getattr(event, "duration", 0.0)
-
-
-def _matches(event: Any, source: str, destination: str) -> bool:
-    """Unordered pair match; empty endpoint strings are wildcards."""
-    a = getattr(event, "a", "")
-    b = getattr(event, "b", "")
-    if not a and not b:
-        return True
-    pair = {source, destination}
-    if a and b:
-        return {a, b} == pair
-    return (a or b) in pair
 
 
 class _Protocol(asyncio.DatagramProtocol):
@@ -112,6 +117,11 @@ class ChaosProxy:
             ``scale`` applies to (live loopback has no sampled nominal
             delay, so the spike's held delay is
             ``extra + (scale − 1) × nominal_one_way``).
+
+    Raises:
+        ValueError: When an event is of a kind the relay refuses (see
+            :data:`REFUSED`); also on any later assignment to
+            :attr:`events`.
     """
 
     def __init__(
@@ -125,7 +135,6 @@ class ChaosProxy:
         nominal_one_way: float = 0.005,
     ) -> None:
         self._addresses = {name: (host, int(port)) for name, (host, port) in addresses.items()}
-        self.events: List[FaultEvent] = sorted(events, key=lambda e: e.at)
         self.loss = float(loss)
         self._rng = np.random.default_rng(seed)
         self._epoch = time.monotonic() if epoch is None else float(epoch)
@@ -133,6 +142,37 @@ class ChaosProxy:
         self._transport: Optional[asyncio.DatagramTransport] = None
         self.address: Optional[Address] = None
         self.stats = ProxyStats()
+        #: The interpreter's clock: ``now`` of the packet being planned.
+        self._plan_now = 0.0
+        #: δ each server last claimed in a reply the relay carried — what
+        #: a spoofed reply in its name claims.
+        self._deltas: Dict[str, float] = {}
+        self.message_faults = MessageFaults(
+            now=lambda: self._plan_now,
+            call_after=self._call_after,
+            send=self._inject,
+            delta=lambda server: self._deltas.get(server, 0.0),
+            rng=self._rng,
+        )
+        self.events = events
+
+    @property
+    def events(self) -> List[FaultEvent]:
+        """The plan's events, sorted by activation time."""
+        return [event for event, _, _ in self._plan]
+
+    @events.setter
+    def events(self, events: Iterable[FaultEvent]) -> None:
+        plan: List[Tuple[FaultEvent, Optional[MessageTap], float]] = []
+        for event in sorted(events, key=lambda e: e.at):
+            tap = self.message_faults.tap(event)
+            if tap is None and not isinstance(event, GATES):
+                owner = REFUSED.get(type(event), "no one: neither plane reads it yet")
+                raise ValueError(f"ChaosProxy cannot realise {event.kind}: it belongs to {owner}")
+            # A flap is active for its ``downtime``, everything else for its ``duration``.
+            window = event.downtime if isinstance(event, LinkFlap) else event.duration
+            plan.append((event, tap, event.at + window))
+        self._plan = plan
 
     # ------------------------------------------------------------- lifecycle
 
@@ -156,9 +196,6 @@ class ChaosProxy:
 
     # ------------------------------------------------------------- planning
 
-    def _active(self, now: float) -> List[FaultEvent]:
-        return [e for e in self.events if e.at <= now < e.at + _window(e)]
-
     def plan(
         self, source: str, destination: str, data: bytes, now: float
     ) -> List[Tuple[bytes, float]]:
@@ -167,87 +204,43 @@ class ChaosProxy:
         Empty list = dropped.  Pure given the RNG state: no sockets, no
         clock reads — fully unit-testable.
         """
-        active = self._active(now)
+        active = [(e, tap) for e, tap, end in self._plan if e.at <= now < end]
         # Hard gates first: a partitioned or down path loses the packet
         # regardless of anything else.
-        for event in active:
-            if isinstance(event, PartitionFault):
-                membership: Dict[str, int] = {}
-                for index, group in enumerate(event.groups):
-                    for name in group:
-                        membership[name] = index
-                same = (
-                    source in membership
-                    and destination in membership
-                    and membership[source] == membership[destination]
-                )
-                if not same:
-                    self.stats.dropped_partition += 1
-                    return []
-            elif isinstance(event, LinkFlap) and _matches(event, source, destination):
+        for event, _ in active:
+            if isinstance(event, TotalPartition) or (
+                isinstance(event, PartitionFault)
+                and partition_gate(event.groups)(source, destination)
+            ):
+                self.stats.dropped_partition += 1
+                return []
+            link_down = isinstance(event, (LinkFlap, ReferenceBlackout))
+            if link_down and touches(event, source, destination):
                 self.stats.dropped_flap += 1
                 return []
-        # Probabilistic loss: steady-state plus any active burst.
         loss = self.loss
-        for event in active:
-            if isinstance(event, LossBurst) and _matches(event, source, destination):
-                loss = max(loss, event.probability)
+        delay = 0.0
+        for event, _ in active:
+            if isinstance(event, LossBurst) and touches(event, source, destination):
+                loss = 1.0 - (1.0 - loss) * (1.0 - event.probability)
+            elif isinstance(event, DelaySpike) and touches(event, source, destination):
+                delay += event.extra + max(0.0, event.scale - 1.0) * self._nominal
         if loss > 0 and self._rng.uniform() < loss:
             self.stats.dropped_loss += 1
             return []
-        payload = data
-        delay = 0.0
-        for event in active:
-            if isinstance(event, MessageTamper) and _matches(event, source, destination):
-                if self._rng.uniform() < event.probability:
-                    tampered = self._tamper(payload, event.offset)
-                    if tampered is not None:
-                        payload = tampered
-                        self.stats.tampered += 1
-            elif isinstance(event, MessageCorruption):
-                if self._rng.uniform() < event.probability:
-                    payload = self._corrupt(payload)
-                    self.stats.corrupted += 1
-            elif isinstance(event, DelaySpike) and _matches(event, source, destination):
-                delay += event.extra + max(0.0, event.scale - 1.0) * self._nominal
-            elif isinstance(event, MessageReorder):
-                if self._rng.uniform() < event.probability:
-                    delay += float(self._rng.uniform(0.0, event.max_extra))
-                    self.stats.reordered += 1
-        deliveries = [(payload, delay)]
-        for event in active:
-            if isinstance(event, MessageDuplication):
-                if self._rng.uniform() < event.probability:
-                    deliveries.append((payload, delay + event.extra_delay))
-                    self.stats.duplicated += 1
-        return deliveries
-
-    def _tamper(self, data: bytes, offset: float) -> Optional[bytes]:
-        """Shift a reply's claimed clock value, keeping its (now stale) MAC.
-
-        The semantic on-path attack: decode, edit the signed field,
-        re-encode with the *original* auth header.  A plain node adopts
-        the shifted value; an authenticated node's MAC check fails.
-        Requests and undecodable packets pass through untouched.
-        """
+        taps = [tap for _, tap in active if tap is not None]
+        if not taps:
+            return [(data, delay)]
         try:
             message = wire.decode_message(data)
         except ValueError:
-            return None
-        if not isinstance(message, TimeReply):
-            return None
-        shifted = dataclasses.replace(message, clock_value=message.clock_value + offset)
-        return wire.encode_message(shifted)
-
-    def _corrupt(self, data: bytes) -> bytes:
-        """Flip one byte of the tail (the packed floats): the decoder
-        rejects the frame, or a packed value turns to garbage that the
-        receiver's validation / rule MM-2 consistency check discards."""
-        if not data:
-            return data
-        index = len(data) - 1 - int(self._rng.integers(0, min(8, len(data))))
-        flipped = data[index] ^ 0xFF
-        return data[:index] + bytes([flipped]) + data[index + 1 :]
+            return [(data, delay)]  # nothing to read, nothing to edit
+        self._plan_now = now
+        deliveries, _ = run_taps(taps, source, destination, message, delay)
+        return [
+            (data if msg is message else wire.encode_message(msg), dly)
+            for msg, dly in deliveries
+        ]
 
     # ------------------------------------------------------------- relaying
 
@@ -257,6 +250,8 @@ class ChaosProxy:
         except ValueError:
             self.stats.dropped_unroutable += 1
             return
+        if isinstance(message, TimeReply):
+            self._deltas[message.server] = message.delta
         source = message.origin if isinstance(message, TimeRequest) else message.server
         destination = message.destination
         target = self._addresses.get(destination)
@@ -267,11 +262,20 @@ class ChaosProxy:
             self.stats.relayed += 1
             if delay > 0:
                 self.stats.delayed += 1
-                asyncio.get_running_loop().call_later(
-                    delay, self._forward, payload, target
-                )
+                self._call_after(delay, lambda p=payload: self._forward(p, target))
             else:
                 self._forward(payload, target)
+
+    def _call_after(self, delay: float, callback) -> None:
+        asyncio.get_running_loop().call_later(delay, callback)
+
+    def _inject(self, source: str, destination: str, message, delay: float) -> None:
+        """The interpreter's link-bypassing send: an adversary datagram
+        reaches ``destination`` after ``delay``, past every gate."""
+        target = self._addresses.get(destination)
+        if target is not None:
+            payload = wire.encode_message(message)
+            self._call_after(delay, lambda: self._forward(payload, target))
 
     def _forward(self, payload: bytes, target: Address) -> None:
         if self._transport is not None:

@@ -8,6 +8,9 @@ programs against on :class:`~repro.network.transport.Network` —
 ``topology_version`` — but moves real datagrams: each transport owns one
 UDP socket, an address book maps server names to ``(host, port)``, and
 deliveries happen when the peer's socket actually receives the packet.
+What does not depend on how a message moves (registry, neighbours,
+edges, taps, broadcast) it shares with the simulator's ``Network``
+through :class:`~repro.network.transport.Transport`.
 
 Where the simulator *samples* link delays, the live plane *declares*
 them: :meth:`link` hands out a :class:`LiveLink` whose
@@ -31,7 +34,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import networkx as nx
 
 from ..network.delay import DelayModel, UniformDelay
-from ..network.transport import MessageTap, NetworkStats
+from ..network.transport import NetworkStats, Transport, partition_gate, run_taps
 from ..service.messages import TimeReply, TimeRequest
 from . import wire
 
@@ -123,7 +126,7 @@ class _Protocol(asyncio.DatagramProtocol):
         self._owner.stats.dropped += 1
 
 
-class UdpTransport:
+class UdpTransport(Transport):
     """One UDP socket speaking the cluster's wire format.
 
     Args:
@@ -154,17 +157,14 @@ class UdpTransport:
     ) -> None:
         if one_way_bound <= 0:
             raise ValueError(f"one_way_bound must be positive, got {one_way_bound}")
+        super().__init__(graph)
         self.engine = engine
-        self.graph = graph
         self._addresses = {name: (host, int(port)) for name, (host, port) in addresses.items()}
         self._one_way = float(one_way_bound)
         self._via = via
         self._on_control = on_control
-        self._processes: Dict[str, Any] = {}
         self._links: Dict[Tuple[str, str], LiveLink] = {}
-        self._taps: List[MessageTap] = []
-        self._partition: Optional[Dict[str, int]] = None
-        self._topology_version = 0
+        self._partition: Optional[Callable[[str, str], bool]] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
         self.stats = NetworkStats()
         self.rtt = RttTracker(lambda: engine.now)
@@ -188,27 +188,6 @@ class UdpTransport:
 
     # ------------------------------------------------------------- plumbing
 
-    @staticmethod
-    def _key(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def register(self, process) -> None:
-        """Attach a local endpoint (same contract as the simulator).
-
-        Raises:
-            KeyError: If the name is not a node of the topology.
-            ValueError: If the name is already registered.
-        """
-        if process.name not in self.graph:
-            raise KeyError(f"{process.name!r} is not a node of the topology")
-        if process.name in self._processes:
-            raise ValueError(f"{process.name!r} already registered")
-        self._processes[process.name] = process
-
-    def process(self, name: str):
-        """The *locally* registered endpoint for ``name``."""
-        return self._processes[name]
-
     def link(self, a: str, b: str) -> LiveLink:
         """The live link for edge ``(a, b)`` (KeyError when absent)."""
         if not self.graph.has_edge(a, b):
@@ -220,49 +199,10 @@ class UdpTransport:
             self._links[key] = live
         return live
 
-    def neighbours(self, name: str) -> list[str]:
-        """Sorted neighbour names of ``name``."""
-        return sorted(self.graph.neighbors(name))
-
-    @property
-    def names(self) -> list[str]:
-        """All server names, sorted."""
-        return sorted(self.graph.nodes)
-
     @property
     def xi(self) -> float:
         """The declared service-wide round-trip bound: ``2 × one-way``."""
         return 2.0 * self._one_way
-
-    @property
-    def topology_version(self) -> int:
-        return self._topology_version
-
-    def add_edge(self, a: str, b: str, *, kind: Optional[str] = None) -> None:
-        for name in (a, b):
-            if name not in self.graph:
-                raise KeyError(f"{name!r} is not a node of the topology")
-        if a == b:
-            raise ValueError(f"cannot add a self-edge on {a!r}")
-        if self.graph.has_edge(a, b):
-            return
-        self.graph.add_edge(a, b, kind=kind or "lan")
-        self._topology_version += 1
-
-    def remove_edge(self, a: str, b: str) -> None:
-        if not self.graph.has_edge(a, b):
-            return
-        self.graph.remove_edge(a, b)
-        self._topology_version += 1
-
-    def add_tap(self, tap: MessageTap) -> None:
-        self._taps.append(tap)
-
-    def remove_tap(self, tap: MessageTap) -> None:
-        try:
-            self._taps.remove(tap)
-        except ValueError:
-            pass
 
     def partition(self, groups: Iterable[Iterable[str]]) -> None:
         """Client-side partition: outbound sends crossing groups drop.
@@ -271,11 +211,7 @@ class UdpTransport:
         this local gate keeps the simulator API complete for code that
         calls it directly on a transport.
         """
-        membership: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for name in group:
-                membership[name] = index
-        self._partition = membership
+        self._partition = partition_gate(groups)
 
     def heal(self) -> None:
         self._partition = None
@@ -291,27 +227,13 @@ class UdpTransport:
         if not self.graph.has_edge(source, destination):
             self.stats.dropped += 1
             return False
-        if self._partition is not None:
-            same = (
-                source in self._partition
-                and destination in self._partition
-                and self._partition[source] == self._partition[destination]
-            )
-            if not same:
-                self.stats.dropped += 1
-                return False
+        if self._partition is not None and self._partition(source, destination):
+            self.stats.dropped += 1
+            return False
         deliveries: List[Tuple[Any, float]] = [(message, 0.0)]
         if self._taps:
-            for tap in self._taps:
-                rewritten: List[Tuple[Any, float]] = []
-                for msg, dly in deliveries:
-                    out = tap(source, destination, msg, dly)
-                    if out is None:
-                        rewritten.append((msg, dly))
-                    else:
-                        self.stats.tapped += 1
-                        rewritten.extend(out)
-                deliveries = rewritten
+            deliveries, acted = run_taps(self._taps, source, destination, message, 0.0)
+            self.stats.tapped += acted
             if not deliveries:
                 self.stats.dropped += 1
                 return False
@@ -334,15 +256,6 @@ class UdpTransport:
             return
         target = self._via if self._via is not None else self._addresses[destination]
         self._transport.sendto(payload, target)
-
-    def broadcast(self, source: str, message_factory, targets: Optional[Iterable[str]] = None) -> int:
-        """Directed broadcast: send to each target (default: neighbours)."""
-        recipients = list(targets) if targets is not None else self.neighbours(source)
-        accepted = 0
-        for destination in recipients:
-            if self.send(source, destination, message_factory(destination)):
-                accepted += 1
-        return accepted
 
     def send_control(self, payload: Dict[str, Any], addr: Address) -> None:
         """Send one control packet directly (never through the proxy)."""

@@ -5,10 +5,15 @@ semantic message field (:func:`repro.security.auth.canonical_encode`,
 proven injective by the property suite) — the MAC covers exactly those
 bytes.  The wire format reuses it verbatim so that **what is signed is
 what is sent**: an on-path rewrite of any field (the
-:class:`~repro.runtime.proxy.ChaosProxy` tamper fault edits the packed
-``clock_value`` double) necessarily invalidates the MAC on the
+:class:`~repro.runtime.proxy.ChaosProxy` decodes a datagram, lets the
+fault interpreter's tamper tap shift ``clock_value``, and re-encodes it
+under the original auth header) necessarily invalidates the MAC on the
 authenticated arm, with no gap between the wire bytes and the signed
-bytes for an attacker to hide in.
+bytes for an attacker to hide in.  The converse holds too: every
+decoder here accepts only the canonical spelling (a decoded packet
+re-encodes to exactly the bytes received), so no respelled frame —
+``+5`` for ``5``, a re-spaced header — can decode to a signed message
+whose MAC it never carried.
 
 Frame layout (one datagram per message, loopback MTU is ample):
 
@@ -55,31 +60,37 @@ def encode_message(message: Message) -> bytes:
 def decode_message(data: bytes) -> Message:
     """Invert :func:`encode_message`.
 
+    Only the canonical frame is accepted — the decoded message always
+    re-encodes to exactly ``data`` — so the header, like the payload,
+    has one spelling per message.
+
     Raises:
         ValueError: On anything that is not a well-formed data packet
-            (truncation, bad auth header, non-canonical payload).
+            (truncation, bad or non-canonical auth header, non-canonical
+            payload).
     """
     if data[:1] != _DATA:
         raise ValueError(f"not a data packet: leading byte {data[:1]!r}")
     colon = data.index(b":", 1)
-    length = int(data[1:colon])
-    if length < 0 or colon + 1 + length > len(data):
+    field = data[1:colon]
+    length = int(field)
+    if b"%d" % length != field or length < 0 or colon + 1 + length > len(data):
         raise ValueError("bad auth header length")
-    header = data[colon + 1 : colon + 1 + length]
     try:
-        auth = ast.literal_eval(header.decode("ascii"))
+        header = data[colon + 1 : colon + 1 + length].decode("ascii")
+        auth = ast.literal_eval(header)
     except Exception as exc:
         raise ValueError(f"unparseable auth header: {exc}") from exc
-    if not isinstance(auth, tuple):
-        raise ValueError("auth header is not a tuple")
+    if not isinstance(auth, tuple) or repr(auth) != header:
+        raise ValueError("auth header is not a canonical tuple repr")
     message = canonical_decode(data[colon + 1 + length :])
     if not auth:
         return message
     if (
         len(auth) != 3
-        or not isinstance(auth[0], int)
-        or not isinstance(auth[1], int)
-        or not isinstance(auth[2], str)
+        or type(auth[0]) is not int
+        or type(auth[1]) is not int
+        or type(auth[2]) is not str
     ):
         raise ValueError("auth header is not (key_id, seq, mac)")
     return dataclasses.replace(message, auth=auth)
@@ -97,7 +108,7 @@ def decode_control(data: bytes) -> Dict[str, Any]:
 
     Raises:
         ValueError: When the bytes are not a control packet holding a
-            JSON object.
+            JSON object in :func:`encode_control`'s own spelling.
     """
     if data[:1] != _CONTROL:
         raise ValueError(f"not a control packet: leading byte {data[:1]!r}")
@@ -107,6 +118,8 @@ def decode_control(data: bytes) -> Dict[str, Any]:
         raise ValueError(f"unparseable control payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("control payload is not an object")
+    if encode_control(payload) != data:
+        raise ValueError("control payload is not canonical JSON")
     return payload
 
 

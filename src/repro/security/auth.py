@@ -142,15 +142,24 @@ def _take_netstr(encoded: bytes, pos: int) -> Tuple[str, int]:
 def canonical_decode(encoded: bytes) -> Message:
     """Invert :func:`canonical_encode` (the ``auth`` field comes back empty).
 
+    Only the canonical spelling is accepted: ``int`` alone would take
+    ``+5``, ``05`` or `` 7`` and ``literal_eval`` would take ``( )``, and
+    since MAC verification re-encodes canonically, such altered bytes
+    would verify.  Re-encoding and comparing closes every such gap at
+    once, for about the cost of one encode (the prefix is cached).
+
     Raises:
         ValueError: If the bytes are not a canonical message encoding.
     """
     try:
-        return _decode(encoded)
+        message = _decode(encoded)
     except ValueError:
         raise
     except Exception as exc:  # index/struct/unicode/enum errors → malformed
         raise ValueError(f"not a canonical encoding: {exc}") from exc
+    if canonical_encode(message) != encoded:
+        raise ValueError("not the canonical encoding of the message it spells")
+    return message
 
 
 def _decode(encoded: bytes) -> Message:

@@ -137,3 +137,145 @@ def test_the_pass_catches_what_it_claims_to():
         "line 3: '_asdict' imported but unused",
     ]
     assert unused_locals(source) == ["line 6: local 'dead' assigned but never used"]
+
+
+# --------------------------------------------------- one fault-DSL reading
+
+#: The interpreter every plane calls for the message-level event kinds.
+INTERPRETER = SRC / "faults" / "messages.py"
+#: Where the kinds are defined; it derives the monitor's liar windows from
+#: ``ByzantineReplies`` but realises no event.
+DEFINITIONS = SRC / "faults" / "schedule.py"
+
+
+def _message_kinds() -> set:
+    tree = ast.parse(INTERPRETER.read_text(encoding="utf-8"))
+    return {
+        node.name[len("_tap_"):]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_tap_")
+    }
+
+
+def _names_in(node: ast.AST) -> set:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def kind_dispatch(source: str, kinds: set) -> list:
+    """Places that branch on a message-level event class: ``isinstance``,
+    ``type(x) is/== Kind`` and ``_apply_<Kind>`` handlers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and _names_in(node.args[1]) & kinds
+        ):
+            named = _names_in(node.args[1]) & kinds
+            found.append(f"line {node.lineno}: isinstance on {sorted(named)}")
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Call)
+            and isinstance(side.func, ast.Name)
+            and side.func.id == "type"
+            for side in [node.left, *node.comparators]
+        ):
+            named = set().union(*(_names_in(side) for side in [node.left, *node.comparators]))
+            if named & kinds:
+                found.append(f"line {node.lineno}: type() compared with {sorted(named & kinds)}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith(
+            "_apply_"
+        ):
+            if node.name[len("_apply_"):] in kinds:
+                found.append(f"line {node.lineno}: handler {node.name}")
+    return found
+
+
+def test_no_module_outside_the_interpreter_dispatches_on_a_message_kind():
+    kinds = _message_kinds()
+    assert len(kinds) == 8, sorted(kinds)
+    problems = [
+        f"{path.relative_to(SRC)} {problem}"
+        for path in LINTED
+        if path not in (INTERPRETER, DEFINITIONS)
+        for problem in kind_dispatch(path.read_text(encoding="utf-8"), kinds)
+    ]
+    assert not problems, "a second reading of the message kinds:\n" + "\n".join(problems)
+
+
+def _tap_chaining_loops(source: str) -> list:
+    """``for tap in taps: for msg in deliveries: tap(...)`` — a loop whose
+    inner loop calls the outer loop's variable."""
+    loops = []
+    for outer in ast.walk(ast.parse(source)):
+        if not (isinstance(outer, ast.For) and isinstance(outer.target, ast.Name)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, ast.For) and any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == outer.target.id
+                for call in ast.walk(inner)
+            ):
+                loops.append(outer.lineno)
+                break
+    return loops
+
+
+def test_the_tap_chaining_loop_exists_once():
+    where = [
+        (str(path.relative_to(SRC)), line)
+        for path in LINTED
+        for line in _tap_chaining_loops(path.read_text(encoding="utf-8"))
+    ]
+    assert len(where) == 1 and where[0][0] == "network/transport.py", where
+
+
+def test_one_message_fault_counter_set():
+    from dataclasses import fields
+
+    from repro.faults.messages import MessageFaultStats
+    from repro.runtime.proxy import ProxyStats
+
+    counters = {field.name for field in fields(MessageFaultStats)}
+    owners = [
+        f"{path.relative_to(SRC)}:{cls.name}"
+        for path in LINTED
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.target.id in counters
+            for stmt in cls.body
+        )
+    ]
+    assert owners == ["faults/messages.py:MessageFaultStats"]
+    # The relay counts only what the relay itself does.
+    relay = {field.name for field in fields(ProxyStats)}
+    assert relay == {"relayed", "delayed"} | {n for n in relay if n.startswith("dropped_")}
+
+
+def test_the_reading_checks_catch_what_they_claim_to():
+    source = (
+        "def _apply_MessageTamper(self, event): pass\n"
+        "def f(event, taps, deliveries):\n"
+        "    if isinstance(event, (LinkFlap, schedule.MessageReplay)): pass\n"
+        "    if type(event) is DelayAttack: pass\n"
+        "    if isinstance(event, LinkFlap): pass\n"
+        "    for tap in taps:\n"
+        "        for msg in deliveries:\n"
+        "            tap(msg)\n"
+    )
+    kinds = {"MessageTamper", "MessageReplay", "DelayAttack"}
+    assert kind_dispatch(source, kinds) == [
+        "line 1: handler _apply_MessageTamper",
+        "line 3: isinstance on ['MessageReplay']",
+        "line 4: type() compared with ['DelayAttack']",
+    ]
+    assert _tap_chaining_loops(source) == [6]

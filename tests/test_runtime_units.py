@@ -10,6 +10,7 @@ loopback integration suite is ``test_runtime_loopback.py`` (marker
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -17,13 +18,16 @@ from repro.faults.schedule import (
     DelaySpike,
     LinkFlap,
     LossBurst,
+    MessageCorruption,
     MessageDuplication,
     MessageTamper,
     PartitionFault,
+    ReferenceBlackout,
+    touches,
 )
 from repro.runtime import wire
 from repro.runtime.engine import WallClockEngine
-from repro.runtime.proxy import ChaosProxy, _matches
+from repro.runtime.proxy import ChaosProxy
 from repro.runtime.supervisor import RestartPolicy
 from repro.runtime.transport import RttTracker
 from repro.security.auth import Keyring, MessageAuthenticator
@@ -107,8 +111,10 @@ def test_wire_tamper_invalidates_mac():
         )
     )
     assert signer.verify(reply) == "ok"
-    proxy = ChaosProxy(addresses={}, seed=0)
-    tampered_bytes = proxy._tamper(wire.encode_message(reply), offset=0.06)
+    proxy = ChaosProxy(
+        addresses={}, events=[MessageTamper(at=0.0, offset=0.06, duration=10.0)], seed=0
+    )
+    [(tampered_bytes, _)] = proxy.plan("S1", "S3", wire.encode_message(reply), now=1.0)
     tampered = wire.decode_message(tampered_bytes)
     assert tampered.clock_value == pytest.approx(100.06)
     assert tampered.auth == reply.auth  # the stale tag rode along
@@ -208,12 +214,17 @@ def _frame(source="S1", destination="S2", value=50.0):
 
 
 def test_proxy_matches_wildcards():
-    assert _matches(MessageTamper(at=0.0), "S1", "S2")
-    assert _matches(MessageTamper(at=0.0, a="S1"), "S1", "S2")
-    assert _matches(MessageTamper(at=0.0, a="S1"), "S3", "S1")
-    assert not _matches(MessageTamper(at=0.0, a="S9"), "S1", "S2")
-    assert _matches(MessageTamper(at=0.0, a="S2", b="S1"), "S1", "S2")
-    assert not _matches(MessageTamper(at=0.0, a="S1", b="S3"), "S1", "S2")
+    """The relay matches endpoints by the DSL's one edge rule."""
+    assert touches(MessageTamper(at=0.0), "S1", "S2")
+    assert touches(MessageTamper(at=0.0, a="S1"), "S1", "S2")
+    assert touches(MessageTamper(at=0.0, a="S1"), "S3", "S1")
+    assert touches(LinkFlap(at=0.0, b="S1"), "S3", "S1")
+    assert not touches(MessageTamper(at=0.0, a="S9"), "S1", "S2")
+    assert touches(MessageTamper(at=0.0, a="S2", b="S1"), "S1", "S2")
+    assert not touches(MessageTamper(at=0.0, a="S1", b="S3"), "S1", "S2")
+    blackout = ReferenceBlackout(at=0.0, servers=("S3", "S4"))
+    assert touches(blackout, "S4", "S1") and not touches(blackout, "S1", "S2")
+    assert touches(ReferenceBlackout(at=0.0), "S1", "S2")
 
 
 def test_proxy_plan_steady_loss_and_windows():
@@ -246,6 +257,21 @@ def test_proxy_plan_partition_and_flap():
     assert proxy.stats.dropped_flap == 1
 
 
+def test_proxy_loss_bursts_compose_like_the_simulators_links():
+    # Two overlapping 50% bursts lose 1 - 0.5 * 0.5 = 75% (not max = 50%).
+    proxy = ChaosProxy(
+        addresses={},
+        events=[
+            LossBurst(at=0.0, probability=0.5, duration=10.0),
+            LossBurst(at=0.0, a="S1", probability=0.5, duration=10.0),
+        ],
+        seed=4,
+    )
+    lost = sum(not proxy.plan("S1", "S2", _frame(), now=1.0) for _ in range(4000))
+    assert lost == proxy.stats.dropped_loss
+    assert lost / 4000 == pytest.approx(0.75, abs=0.03)
+
+
 def test_proxy_plan_delay_duplication_and_tamper():
     proxy = ChaosProxy(
         addresses={},
@@ -263,9 +289,12 @@ def test_proxy_plan_delay_duplication_and_tamper():
     payload, delay = deliveries[0]
     assert delay == pytest.approx(0.2)
     assert deliveries[1][1] == pytest.approx(0.25)
-    assert wire.decode_message(payload).clock_value == pytest.approx(50.5)
-    assert proxy.stats.tampered == 1
-    assert proxy.stats.duplicated == 1
+    # Taps chain in schedule order, as on the simulator's network: the
+    # duplicate is made first, then each copy is tampered with.
+    for payload, _ in deliveries:
+        assert wire.decode_message(payload).clock_value == pytest.approx(50.5)
+    assert proxy.message_faults.stats.messages_tampered == 2
+    assert proxy.message_faults.stats.messages_duplicated == 1
 
 
 def test_proxy_tamper_leaves_requests_alone():
@@ -282,19 +311,24 @@ def test_proxy_tamper_leaves_requests_alone():
 
 
 def test_proxy_corruption_damages_the_frame():
-    """A flipped tail byte either breaks the framing (decoder rejects)
-    or garbles a packed value (validation/consistency rejects) — never
-    yields the original message back."""
-    proxy = ChaosProxy(addresses={}, seed=3)
+    """Corruption garbles a reply's fields (NaN clock, negative error, or a
+    huge offset) that validation / rule MM-2 then discards — never
+    yields the original message back — and leaves requests alone."""
+    proxy = ChaosProxy(
+        addresses={},
+        events=[MessageCorruption(at=0.0, probability=1.0, duration=10.0)],
+        seed=3,
+    )
     original = wire.decode_message(_frame())
     for _ in range(8):
-        corrupted = proxy._corrupt(_frame())
-        assert corrupted != _frame()
-        try:
-            decoded = wire.decode_message(corrupted)
-        except ValueError:
-            continue
-        assert decoded != original
+        [(corrupted, _)] = proxy.plan("S2", "S1", _frame(), now=1.0)
+        decoded = wire.decode_message(corrupted)
+        assert corrupted != _frame() and decoded != original
+        value = decoded.clock_value
+        assert math.isnan(value) or decoded.error < 0 or abs(value - 50.0) >= 1e6
+    request = wire.encode_message(TimeRequest(request_id=1, origin="S1", destination="S2"))
+    assert proxy.plan("S1", "S2", request, now=1.0) == [(request, 0.0)]
+    assert proxy.message_faults.stats.messages_corrupted == 8
 
 
 # ----------------------------------------------------------- supervision
