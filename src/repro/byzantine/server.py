@@ -15,9 +15,9 @@ recovery stack it adds the full liar-handling loop:
   and cooldown-probing, shared with the hardening stage when both run —
   and their census verdicts are overwritten with the classification so
   liars lose recovery-arbiter support service-wide.
-* **Reply validation → reputation** — the hardened sanity checks plus
-  the rule MM-1 error-physics clamp run on every reply; each rejection
-  counts against the sender's reputation.
+* **Reply validation → reputation** — the peer-health book judges every
+  reply once (the hardened sanity checks plus the rule MM-1 growth
+  clamp); each rejection counts against the sender's reputation.
 * **Adaptive fault budget** — when the policy's budget is a
   :class:`~repro.byzantine.budget.FaultBudgetController`, round outcomes
   drive it (raise on detected liars, decay on clean rounds) and the poll
@@ -37,8 +37,7 @@ from typing import List, Optional
 
 from ..core.ft_im import FTIMPolicy, FTRoundOutcome
 from ..recovery.server import StabilizingStage
-from ..service.hardening import PeerHealth, QuarantinePolicy, validation_rejection
-from ..service.messages import TimeReply
+from ..service.hardening import PeerHealth, QuarantinePolicy
 from ..service.server import Stage, TimeServer
 from .budget import FaultBudgetController
 from .reputation import ReputationConfig, ReputationTracker
@@ -54,19 +53,14 @@ class ByzantineConfig:
             subsystem's machinery; the defaults quarantine a persistent
             liar after roughly three bad rounds and probe it back in
             after ``cooldown`` seconds.
-        validate: Run the hardened reply sanity checks.
-        max_error: Largest believable ``E_j`` (see
-            :class:`~repro.service.hardening.HardeningConfig`).
-        plausibility_slack: Plausibility margin (same).
-        error_physics: Enforce the rule MM-1 growth clamp.
+
+    Reply validation has no knob here: the server's
+    :class:`~repro.service.hardening.PeerHealth` book judges every reply
+    with :class:`~repro.service.hardening.HardeningConfig`'s bounds.
     """
 
     reputation: ReputationConfig = field(default_factory=ReputationConfig)
     quarantine: QuarantinePolicy = field(default_factory=QuarantinePolicy)
-    validate: bool = True
-    max_error: float = 3600.0
-    plausibility_slack: float = 0.5
-    error_physics: bool = True
 
 
 @dataclass
@@ -151,6 +145,9 @@ class ByzantineStage(Stage):
     def peers_readmitted(self, count: int) -> None:
         self.byzantine_stats.starvation_overrides += count
 
+    def reply_rejected(self, name: str) -> None:
+        self.byzantine_stats.validation_rejections += 1
+
     def falseticker_neighbours(self) -> tuple[str, ...]:
         """Neighbours currently classified falsetickers — the
         stabilizer's arbiter vetting consults this on every recovery."""
@@ -169,14 +166,7 @@ class ByzantineStage(Stage):
             self.budget_controller.set_floor(known)
         return active
 
-    # ----------------------------------------------------------- validation
-
-    def _validate_reply(self, reply: TimeReply) -> Optional[str]:
-        reason = validation_rejection(self.server, reply, self.byzantine)
-        if reason is not None:
-            self.byzantine_stats.validation_rejections += 1
-            self.server._peer_rejected(reply.server)
-        return reason
+    # ----------------------------------------------------------- rejection
 
     def _peer_rejected(self, peer: str) -> None:
         self.reputation.observe_validation_failure(peer)

@@ -7,8 +7,9 @@ cluster's shared monotonic epoch, a
 and the *unmodified* policy stack — a
 :class:`~repro.service.server.TimeServer`, plain or carrying the
 :class:`~repro.service.hardening.HardeningStage` and
-:class:`~repro.security.server.SecurityStage` — polling neighbours with
-rule MM-2 over real datagrams.
+:class:`~repro.security.server.SecurityStage`, its stage list drawn from
+the simulator's own table (:func:`~repro.service.builder.stages_for`) —
+polling neighbours with rule MM-2 over real datagrams.
 
 Two live-plane additions:
 
@@ -42,15 +43,16 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 import networkx as nx
-import numpy as np
 
 from ..clocks.drift import DriftingClock
 from ..clocks.slewing import SlewingClock
 from ..core.mm import MMPolicy
 from ..security.auth import Keyring
-from ..security.server import SecurityConfig, SecurityStage
-from ..service.hardening import hardening_stages
-from ..service.server import SlewRail, TimeServer
+from ..security.server import SecurityConfig
+from ..service.builder import ServerSpec, stages_for
+from ..service.hardening import HardeningConfig
+from ..service.server import TimeServer
+from ..simulation.rng import RngRegistry
 from ..telemetry.exporters import to_prometheus_text
 from ..telemetry.instruments import ServiceTelemetry
 from .engine import WallClockEngine
@@ -186,15 +188,18 @@ class LiveNode:
         if self.kind not in ("plain", "hardened", "authenticated"):
             raise ValueError(f"unknown node kind {self.kind!r}")
         clock = self._build_clock()
-        stages = []
-        if self.kind != "plain":
-            rng = np.random.default_rng(int(cfg.get("seed", 0)))
-            stages += hardening_stages(rng=rng)
+        security = None
         if self.kind == "authenticated":
             keyring = Keyring.from_secret(cfg.get("secret", "repro-live"))
-            stages.append(SecurityStage(SecurityConfig(keyring=keyring)))
-        if hasattr(clock, "slew_remaining"):
-            stages.append(SlewRail())
+            security = SecurityConfig(keyring=keyring)
+        stages = stages_for(
+            ServerSpec(self.name),
+            clock,
+            True,
+            RngRegistry(seed=int(cfg.get("seed", 0))),
+            hardening=None if self.kind == "plain" else HardeningConfig(),
+            security=security,
+        )
         return TimeServer(
             self.engine,
             self.name,

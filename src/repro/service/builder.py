@@ -9,7 +9,7 @@ needs (snapshots, error/asynchronism metrics, grid sampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import networkx as nx
@@ -290,6 +290,87 @@ class SimulatedService:
         return names
 
 
+def stages_for(
+    spec: ServerSpec,
+    clock: Optional[Clock],
+    polls: bool,
+    rng: RngRegistry,
+    *,
+    hardening: Optional[HardeningConfig] = None,
+    byzantine: Optional[ByzantineConfig] = None,
+    security: Optional[SecurityConfig] = None,
+    stabilizer: Optional[StabilizerConfig] = None,
+    stable_store: Optional[StableStore] = None,
+    holdover: Optional[HoldoverConfig] = None,
+    capacity: Optional[CapacityConfig] = None,
+    load_policy: Optional[LoadPolicy] = None,
+) -> List[Stage]:
+    """The one table from a spec's flags and the service's configs to
+    the server's ordered stage list (first = innermost), for both
+    planes: :func:`build_service` and the live node both call it.
+
+    Every capability asked for is attached; none excludes another.
+    Read backwards the list is a message's path through the server —
+    admission/capacity, authentication/replay/delay guard, reply
+    validation + peer health, then the feedback layers — except
+    where the class tower this replaced fixed an order that trace
+    digests or ``metrics.prom`` depend on (rate tracking inside
+    stabilisation inside discipline inside holdover; hardening's
+    counter families registered before security's).
+
+    ``spec`` gives the name and flags, ``clock`` (None for a reference
+    server) whether a slew rail is owed, ``polls`` whether there are
+    replies to harden against, ``rng`` the jitter and shedding streams;
+    the keywords are :func:`build_service`'s configs of the same names,
+    plus the ``stable_store`` self-stabilising servers share.
+    """
+    if spec.reference:
+        # Answer-only on a perfect clock: nothing to track, steer or
+        # checkpoint, whatever else the row says.
+        spec = ServerSpec(spec.name, reference=True)
+    stabilizing = spec.self_stabilizing or spec.byzantine_tolerant or spec.holdover
+    disciplined = spec.discipline or spec.holdover
+    tracking = spec.rate_tracking or disciplined or stabilizing
+    if security is not None:
+        # Imported here: repro.security imports this package.
+        from ..security.server import SecurityStage
+
+        if hardening is None and not tracking:
+            # The guards' rejections need a peer-health book to land in.
+            hardening = HardeningConfig()
+    hardened = polls and hardening is not None
+    quarantine = hardening.quarantine if hardened else None
+    if spec.byzantine_tolerant:
+        byzantine = byzantine if byzantine is not None else ByzantineConfig()
+        quarantine = byzantine.quarantine
+    table = (
+        (tracking, RateTrackingStage),
+        (stabilizing, lambda: StabilizingStage(stable_store, stabilizer)),
+        (disciplined, DisciplineStage),
+        (
+            hardened or spec.byzantine_tolerant,
+            lambda: PeerHealth(quarantine, hardening),
+        ),
+        (spec.byzantine_tolerant, lambda: ByzantineStage(byzantine)),
+        (spec.holdover, lambda: HoldoverStage(holdover)),
+        (
+            hardened,
+            lambda: HardeningStage(hardening, rng.stream(f"hardening/{spec.name}")),
+        ),
+        (security is not None, lambda: SecurityStage(security)),
+        # Derived from the clock, not selected: whoever drains resets
+        # gradually owes ε the pending remainder.  Behind every stage
+        # that checkpoints or gates a reset, ahead of the load stage's
+        # report cache.
+        (hasattr(clock, "slew_remaining"), SlewRail),
+        (
+            capacity is not None and not spec.reference,
+            lambda: LoadStage(capacity, load_policy, rng.stream(f"load/{spec.name}")),
+        ),
+    )
+    return [build() for wanted, build in table if wanted]
+
+
 def build_service(
     graph: nx.Graph,
     specs: Sequence[ServerSpec],
@@ -347,8 +428,7 @@ def build_service(
             horizon, merge hysteresis); None uses
             :class:`~repro.recovery.stabilizer.StabilizerConfig` defaults.
         byzantine: Tolerance-layer knobs for servers with
-            ``byzantine_tolerant=True`` (reputation, demotion, reply
-            validation); None uses
+            ``byzantine_tolerant=True`` (reputation, demotion); None uses
             :class:`~repro.byzantine.server.ByzantineConfig` defaults.
         capacity: When set, every non-reference server carries a
             :class:`~repro.load.server.LoadStage` with this
@@ -435,73 +515,6 @@ def build_service(
     ):
         stable_store = StableStore()
     holdover_cfg = holdover if holdover is not None else HoldoverConfig()
-    if security is not None:
-        # Imported here: repro.security imports this package.
-        from ..security.server import SecurityStage
-
-    def stages_for(spec: ServerSpec, clock: Optional[Clock], polls: bool) -> List[Stage]:
-        """The one table from a spec's flags and this call's configs to
-        the server's ordered stage list (first = innermost).
-
-        Every capability asked for is attached; none excludes another.
-        Read backwards the list is a message's path through the server —
-        admission/capacity, authentication/replay/delay guard, reply
-        validation + peer health, then the feedback layers — except
-        where the class tower this replaced fixed an order that trace
-        digests or ``metrics.prom`` depend on (rate tracking inside
-        stabilisation inside discipline inside holdover; hardening's
-        counter families registered before security's).
-        """
-        if spec.reference:
-            # Answer-only on a perfect clock: nothing to track, steer or
-            # checkpoint, whatever else the row says.
-            spec = ServerSpec(spec.name, reference=True)
-        stabilizing = spec.self_stabilizing or spec.byzantine_tolerant or spec.holdover
-        disciplined = spec.discipline or spec.holdover
-        tracking = spec.rate_tracking or disciplined or stabilizing
-        hardening_cfg, byzantine_cfg = hardening, byzantine
-        if security is not None and hardening is None and not tracking:
-            # The guards' rejections need a peer-health book to land in.
-            hardening_cfg = HardeningConfig()
-        # Hardening defends the replies a server polls for; an
-        # answer-only server receives none.
-        hardened = polls and hardening_cfg is not None
-        quarantine = hardening_cfg.quarantine if hardened else None
-        if spec.byzantine_tolerant:
-            byzantine_cfg = byzantine if byzantine is not None else ByzantineConfig()
-            quarantine = byzantine_cfg.quarantine
-            if hardened and byzantine_cfg.error_physics:
-                # The MM-1 growth clamp keeps per-neighbour strike state,
-                # so it must judge each reply once: the Byzantine stage's.
-                hardening_cfg = replace(hardening_cfg, error_physics=False)
-        table = (
-            (tracking, RateTrackingStage),
-            (stabilizing, lambda: StabilizingStage(stable_store, stabilizer)),
-            (disciplined, DisciplineStage),
-            (hardened or spec.byzantine_tolerant, lambda: PeerHealth(quarantine)),
-            (spec.byzantine_tolerant, lambda: ByzantineStage(byzantine_cfg)),
-            (spec.holdover, lambda: HoldoverStage(holdover_cfg)),
-            (
-                hardened,
-                lambda: HardeningStage(
-                    hardening_cfg, rng.stream(f"hardening/{spec.name}")
-                ),
-            ),
-            (security is not None, lambda: SecurityStage(security)),
-            # Derived from the clock, not selected: whoever drains resets
-            # gradually owes ε the pending remainder.  Behind every stage
-            # that checkpoints or gates a reset, ahead of the load
-            # stage's report cache.
-            (hasattr(clock, "slew_remaining"), SlewRail),
-            (
-                capacity is not None and not spec.reference,
-                lambda: LoadStage(
-                    capacity, load_policy, rng.stream(f"load/{spec.name}")
-                ),
-            ),
-        )
-        return [build() for wanted, build in table if wanted]
-
     for spec in specs:
         server_policy = policies[spec.name]
         clock: Optional[Clock] = None  # a reference server brings its own
@@ -522,7 +535,20 @@ def build_service(
         common = dict(
             trace=trace,
             telemetry=service_telemetry.server(spec.name),
-            stages=stages_for(spec, clock, server_policy is not None),
+            stages=stages_for(
+                spec,
+                clock,
+                server_policy is not None,
+                rng,
+                hardening=hardening,
+                byzantine=byzantine,
+                security=security,
+                stabilizer=stabilizer,
+                stable_store=stable_store,
+                holdover=holdover_cfg,
+                capacity=capacity,
+                load_policy=load_policy,
+            ),
         )
         if spec.reference:
             server: TimeServer = ReferenceServer(

@@ -10,10 +10,13 @@ neighbours in) layers four defences on top of the base
 themselves:
 
 * **Reply sanity validation** — NaN/infinite values, negative or
-  absurdly large error bounds, and replies whose claimed clock value is
+  absurdly large error bounds, replies whose claimed clock value is
   implausibly far from anything the local interval plus the measured
-  round trip could explain are rejected *before* they reach the policy
-  (hook: :meth:`~repro.service.server.TimeServer._validate_reply`).
+  round trip could explain, and errors that grow slower than rule MM-1
+  mandates are rejected *before* they reach the policy.  The
+  :class:`PeerHealth` book judges each reply once (hook:
+  :meth:`~repro.service.server.TimeServer._validate_reply`), whichever
+  stages listen to its verdict.
 * **Retry with exponential backoff + jitter** — lost poll requests and
   recovery fetches are retransmitted within the open round instead of
   being waited out, so a 30% lossy link degrades accuracy smoothly
@@ -110,18 +113,12 @@ class HardeningConfig:
     """All hardening knobs in one declarative bundle.
 
     Attributes:
-        validate: Enable reply sanity validation.
         max_error: Largest believable ``E_j`` in seconds; replies claiming
             more are rejected (an error bound wider than an hour means the
             neighbour effectively doesn't know the time).
         plausibility_slack: Extra margin, in seconds, allowed between the
             local and remote clock readings beyond ``E_i + E_j`` plus the
             measured round trip before a reply is called implausible.
-        error_physics: Enforce the rule MM-1 growth clamp (see
-            :meth:`~repro.service.server.TimeServer.
-            _error_physics_rejection`): replies whose claimed error grew,
-            but slower than ``δ_j`` mandates since the neighbour's last
-            observed report, are rejected after two consecutive strikes.
         retry: Retransmission policy for polls and recovery fetches.
         adaptive_timeout: Derive round timeouts from observed RTTs.
         rtt_alpha: EWMA gain for the RTT mean.
@@ -130,12 +127,14 @@ class HardeningConfig:
             to ``[min_timeout, static timeout]``).
         min_timeout: Floor for the adaptive timeout.
         quarantine: Health/quarantine policy, or None to disable.
+
+    The two sanity bounds are the only validation knobs: every server
+    with a :class:`PeerHealth` book runs the sanity checks and the rule
+    MM-1 growth clamp (a Byzantine-only one with these defaults).
     """
 
-    validate: bool = True
     max_error: float = 3600.0
     plausibility_slack: float = 0.5
-    error_physics: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     adaptive_timeout: bool = True
     rtt_alpha: float = 0.125
@@ -218,10 +217,10 @@ def reply_sanity_rejection(
     max_error: float,
     plausibility_slack: float,
 ) -> Optional[str]:
-    """The shared reply sanity checks (hardening and Byzantine stages).
+    """The reply sanity checks :class:`PeerHealth` runs on every reply.
 
     Returns None to accept or a short reason string.  Pure function of
-    the reply and the local view, so any stage can reuse it.
+    the reply and the local view.
     """
     if not math.isfinite(reply.clock_value):
         return "non-finite clock value"
@@ -245,31 +244,6 @@ def reply_sanity_rejection(
     return None
 
 
-def validation_rejection(server: TimeServer, reply: TimeReply, cfg) -> Optional[str]:
-    """Reply validation as the hardening and Byzantine stages both run it.
-
-    The sanity checks (``cfg.validate``), then the rule MM-1 growth
-    clamp (``cfg.error_physics``; see :meth:`~repro.service.server.
-    TimeServer._error_physics_rejection`).  ``cfg`` is either stage's
-    config — the four knobs carry the same names in both.
-    """
-    reason = None
-    if cfg.validate:
-        value, error = server.report()
-        reason = reply_sanity_rejection(
-            reply,
-            local_value=value,
-            local_error=error,
-            delta=server.delta,
-            xi=server.network.xi,
-            max_error=cfg.max_error,
-            plausibility_slack=cfg.plausibility_slack,
-        )
-    if reason is None and cfg.error_physics:
-        reason = server._error_physics_rejection(reply)
-    return reason
-
-
 class HardeningStats(CounterBackedStats):
     """Counters the hardening stage adds on top of ``ServerStats``.
 
@@ -290,28 +264,44 @@ class HardeningStats(CounterBackedStats):
 
 
 class PeerHealth(Stage):
-    """One server's peer-health book: a score per neighbour.
+    """One server's peer-health book: a score per neighbour, and the one
+    judge of every reply.
 
     Shared by every stage that rewards or penalises peers (so hardening
     and Byzantine tolerance on one server keep a single score per
     neighbour).  The book itself does what must happen once per event
-    whoever is listening: filter the poll set through the starvation
-    guard, penalise the peers a closed round never heard from, and
-    decay a rejected peer's score.  The stages that *report* — how a
-    bench is counted and traced — register in :attr:`reporters`.
+    whoever is listening: judge each poll/recovery reply (the sanity
+    checks, then the rule MM-1 growth clamp), filter the poll set
+    through the starvation guard, penalise the peers a closed round
+    never heard from, and decay a rejected peer's score.  The stages
+    that *report* — how a rejection or a bench is counted and traced —
+    register in :attr:`reporters`.
 
     Args:
         policy: The quarantine policy; None keeps the book but never
             scores or benches anybody.
+        config: The sanity bounds (``max_error``,
+            ``plausibility_slack``); None uses :class:`HardeningConfig`'s.
     """
 
     exports = ("health", "quarantined_peers")
 
-    def __init__(self, policy: Optional[QuarantinePolicy]) -> None:
+    def __init__(
+        self,
+        policy: Optional[QuarantinePolicy],
+        config: Optional[HardeningConfig] = None,
+    ) -> None:
         self.policy = policy
+        self.config = config if config is not None else HardeningConfig()
         self.health: Dict[str, NeighbourHealth] = {}
-        #: Stages with ``peer_benched(name)`` / ``peers_readmitted(n)``.
+        #: Stages with ``reply_rejected(name)``, ``peer_benched(name)`` and
+        #: ``peers_readmitted(n)``.
         self.reporters: list = []
+        # Last observed <C_j, E_j> per neighbour, valid or not — the
+        # growth clamp needs the previous *claim* to test growth — and
+        # its consecutive non-physical observations.
+        self._reports: Dict[str, tuple[float, float]] = {}
+        self._strikes: Dict[str, int] = {}
 
     def of(self, name: str) -> NeighbourHealth:
         """The (created-on-demand) record for ``name``."""
@@ -349,6 +339,82 @@ class PeerHealth(Stage):
     def _report_bench(self, name: str) -> None:
         for reporter in self.reporters:
             reporter.peer_benched(name)
+
+    # ---------------------------------------------------------- judging
+
+    def _validate_reply(self, reply: TimeReply) -> Optional[str]:
+        """Judge a reply once: the sanity checks, then the growth clamp.
+
+        A rejection goes down the server's one rejection path and every
+        reporter counts it.
+        """
+        server = self.server
+        value, error = server.report()
+        reason = reply_sanity_rejection(
+            reply,
+            local_value=value,
+            local_error=error,
+            delta=server.delta,
+            xi=server.network.xi,
+            max_error=self.config.max_error,
+            plausibility_slack=self.config.plausibility_slack,
+        )
+        if reason is None:
+            reason = self._growth_rejection(reply)
+        if (
+            math.isfinite(reply.clock_value)
+            and math.isfinite(reply.error)
+            and reply.error >= 0.0
+        ):
+            self._reports[reply.server] = (reply.clock_value, reply.error)
+        if reason is not None:
+            server._peer_rejected(reply.server)
+            for reporter in self.reporters:
+                reporter.reply_rejected(reply.server)
+        return reason
+
+    def _growth_rejection(
+        self,
+        reply: TimeReply,
+        *,
+        tolerance: float = 0.5,
+        slack: float = 1e-9,
+        strikes_to_reject: int = 2,
+    ) -> Optional[str]:
+        """The rule MM-1 growth clamp: is the claimed error physical?
+
+        Between two reports with no reset in between, MM-1 makes a
+        server's error grow *exactly* ``δ_j`` per local second:
+        ``E_j(t) = ε_j + (C_j(t) - r_j)·δ_j``.  A shrink is presumed to
+        be a legitimate reset; but an error that *grew* while growing
+        slower than ``δ_j · elapsed`` (minus ``tolerance``'s fraction
+        and a float-rounding ``slack``) is non-physical — exactly the
+        signature of a liar rescaling its reported error.  A legitimate
+        reset can land the error inside the mandated-growth window by
+        coincidence, so a reply is only rejected on the
+        ``strikes_to_reject``-th *consecutive* non-physical observation:
+        coincidences don't repeat, liars do (every round).
+        """
+        last = self._reports.get(reply.server)
+        if last is None:
+            return None
+        last_value, last_error = last
+        elapsed = reply.clock_value - last_value
+        if elapsed <= 0.0:
+            return None  # reordered/duplicate claim; other checks apply
+        if reply.error < last_error:
+            self._strikes[reply.server] = 0
+            return None  # presumed reset
+        mandated = reply.delta * elapsed
+        growth = reply.error - last_error
+        if growth + slack < mandated * (1.0 - tolerance):
+            strikes = self._strikes.get(reply.server, 0) + 1
+            self._strikes[reply.server] = strikes
+            if strikes >= strikes_to_reject:
+                return "non-physical error growth"
+            return None
+        self._strikes[reply.server] = 0
+        return None
 
     # ------------------------------------------------------------ hooks
 
@@ -396,8 +462,9 @@ class PeerHealth(Stage):
 class HardeningStage(Stage):
     """The production armour described above, as a server stage.
 
-    Needs a :class:`PeerHealth` earlier in the stage list
-    (:func:`hardening_stages` builds the pair).
+    Needs a :class:`PeerHealth` earlier in the stage list, which judges
+    the replies (:func:`~repro.service.builder.stages_for` builds the
+    pair).
 
     Args:
         config: The knob bundle; defaults to :class:`HardeningConfig()`.
@@ -433,15 +500,8 @@ class HardeningStage(Stage):
     def peers_readmitted(self, count: int) -> None:
         self.hardening_stats.starvation_overrides += count
 
-    # --------------------------------------------------------- validation
-
-    def _validate_reply(self, reply: TimeReply) -> Optional[str]:
-        if not self.hardening.validate:
-            return None  # ... which also skips the error-physics clamp
-        reason = validation_rejection(self.server, reply, self.hardening)
-        if reason is not None:
-            self.server._peer_rejected(reply.server)
-        return reason
+    def reply_rejected(self, name: str) -> None:
+        """Counted by the server's own ``stats.invalid_replies``."""
 
     # ------------------------------------------------------------ retries
 
@@ -607,12 +667,3 @@ class HardeningStage(Stage):
             lambda: server._recovery_timeout(request_id),
         )
         return True
-
-
-def hardening_stages(
-    config: Optional[HardeningConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> List[Stage]:
-    """The peer-health book and the hardening stage over it."""
-    config = config if config is not None else HardeningConfig()
-    return [PeerHealth(config.quarantine), HardeningStage(config, rng)]

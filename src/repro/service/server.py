@@ -39,10 +39,9 @@ capabilities compose by being in the list.
 from __future__ import annotations
 
 import functools
-import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from ..clocks.base import Clock
 from ..core.recovery import RecoveryStrategy
@@ -103,7 +102,7 @@ class ServerStats:
     requests_answered: int = 0
     polls_unsent: int = 0  # poll requests the transport dropped at send time
     polls_pruned: int = 0  # pending slots dropped on mid-round neighbour loss
-    invalid_replies: int = 0  # replies rejected by _validate_reply
+    invalid_replies: int = 0  # rejected by _validate_reply or _admit_reply
     requests_refused: int = 0  # inbound requests rejected by _admit_request
 
 
@@ -160,9 +159,7 @@ class Hook(NamedTuple):
     after the base method.
 
     ``noop``: the base is the documented no-op or identity, so a sole
-    implementing stage's method is bound in its place.  ``unless``: the
-    base method's own idempotence guard, a predicate of ``(server,
-    *args)`` — when it holds the call does nothing and no hook runs.
+    implementing stage's method is bound in its place.
     """
 
     name: str
@@ -170,7 +167,6 @@ class Hook(NamedTuple):
     rule: str
     when: str = "after"
     noop: bool = False
-    unless: Optional[Callable[..., bool]] = None
 
 
 def _hook(name: str, rule: str, when: str = "after", noop: bool = False) -> Hook:
@@ -184,12 +180,12 @@ def _hook(name: str, rule: str, when: str = "after", noop: bool = False) -> Hook
 #:
 #: * ``fold`` — each maps the value the previous one produced;
 #: * ``first`` — the first non-None verdict wins;
-#: * ``first+sum`` — verdicts are ``(rejection, widen)`` pairs: the first
-#:   rejection wins, the widens before it add up;
 #: * ``notify`` — all are called, results ignored;
-#: * ``any`` — true when any is;
 #: * ``veto`` — a true result takes the call over: the base method and
-#:   every after-hook are skipped.
+#:   every after-hook are skipped;
+#: * ``sole`` — at most one stage of a list implements it, bound in the
+#:   base no-op's place; a second is a construction error, so no rule
+#:   for combining them exists.
 #:
 #: ``before`` hooks run ahead of the base method, last stage first;
 #: ``after`` hooks behind it, first stage first — the order ``super()``
@@ -209,19 +205,16 @@ HOOKS: tuple[Hook, ...] = (
     _hook("_prepare_request", "fold", noop=True),
     _hook("_effective_round_timeout", "fold"),
     _hook("_on_round_started", "notify", noop=True),
-    _hook("_may_revive", "any", noop=True),
+    _hook("_may_revive", "sole", noop=True),
     # Judging replies.
     _hook("_validate_reply", "first", "before"),
-    _hook("_admit_reply", "first+sum", noop=True),
+    _hook("_admit_reply", "sole", noop=True),
     _hook("_peer_rejected", "notify", noop=True),
     _hook("_observe_reply", "notify", noop=True),
     # Closing a round.
     _hook("_on_round_closed", "notify", noop=True),
     _hook("_on_round_outcome", "notify", noop=True),
-    Hook(
-        "after_round", "_complete_round", "notify",
-        unless=lambda server, round_: round_.closed,
-    ),
+    Hook("after_round", "_close_round", "notify"),
     # Resets and Section 3 recovery.
     Hook("before_reset", "_apply_reset", "veto", "before"),
     Hook("after_reset", "_apply_reset", "notify"),
@@ -231,10 +224,7 @@ HOOKS: tuple[Hook, ...] = (
     # Lifecycle and membership.
     Hook("after_start", "on_start", "notify"),
     Hook("before_leave", "leave", "veto", "before"),
-    Hook(
-        "after_rejoin", "rejoin", "notify",
-        unless=lambda server, initial_error: not server.departed,
-    ),
+    Hook("after_rejoin", "_rejoin", "notify"),
 )
 
 
@@ -254,19 +244,6 @@ def _first(calls):
     return run
 
 
-def _first_sum(calls):
-    def run(*args, **kw):
-        total = 0.0
-        for call in calls:
-            rejection, widen = call(*args, **kw)
-            if rejection is not None:
-                return rejection, widen
-            total += widen
-        return None, total
-
-    return run
-
-
 def _notify(calls):
     def run(*args, **kw):
         for call in calls:
@@ -275,8 +252,8 @@ def _notify(calls):
     return run
 
 
-def _any(calls):
-    # Also ``veto``: the base method comes last, and returns None.
+def _veto(calls):
+    # The base method comes last, and returns None.
     def run(*args, **kw):
         for call in calls:
             if call(*args, **kw):
@@ -305,19 +282,7 @@ def _fold_before(inner, hooks):
     return run
 
 
-def _unless(guard, server, base, run):
-    def guarded(*args, **kw):
-        if guard(server, *args, **kw):
-            return base(*args, **kw)
-        return run(*args, **kw)
-
-    return guarded
-
-
-_ORDERED = {
-    "first": _first, "first+sum": _first_sum, "notify": _notify,
-    "any": _any, "veto": _any,
-}
+_ORDERED = {"first": _first, "notify": _notify, "veto": _veto}
 
 
 def _maker(hook: Hook):
@@ -337,15 +302,24 @@ def _plan(kinds: tuple[type, ...]) -> tuple:
     """What a stage list of these classes binds on its server, as
     ``(direct, wrapped)``: ``direct`` holds ``(method, stage method,
     stage index)`` for each sole implementer bound in a no-op's place;
-    ``wrapped`` holds ``(method, steps, guard)`` for the rest, ``steps``
-    being one ``(maker, stage method, implementing stage indices in run
+    ``wrapped`` holds ``(method, steps)`` for the rest, ``steps`` being
+    one ``(maker, stage method, implementing stage indices in run
     order)`` per table row in play.  Every server of a service carries
     one of a few class lists, so the table is searched once per list,
     not once per server.
+
+    Raises:
+        ValueError: If two of the classes implement a ``sole`` row.
     """
     found: Dict[str, list] = {}
     for row in HOOKS:
         indices = [i for i, kind in enumerate(kinds) if hasattr(kind, row.name)]
+        if row.rule == "sole" and len(indices) > 1:
+            first, second = (kinds[i].__name__ for i in indices[:2])
+            raise ValueError(
+                f"{row.name} takes a single implementer, but {first} and "
+                f"{second} both implement it"
+            )
         if indices:
             found.setdefault(row.method, []).append((row, indices))
     direct, wrapped = [], []
@@ -360,8 +334,7 @@ def _plan(kinds: tuple[type, ...]) -> tuple:
             (_maker(r), r.name, tuple(ix[::-1] if r.when == "before" else ix))
             for r, ix in rows
         )
-        guards = [r.unless for r, _ in rows if r.unless is not None]
-        wrapped.append((method, steps, guards[0] if guards else None))
+        wrapped.append((method, steps))
     return tuple(direct), tuple(wrapped)
 
 
@@ -388,12 +361,6 @@ class TimeServer(SimProcess):
             round trip yet well inside the period.
         recovery: Strategy consulted on inconsistencies; None disables
             recovery (inconsistent replies are only ignored/logged).
-        error_physics: Enforce the rule MM-1 growth clamp in
-            :meth:`_validate_reply` — reject replies whose claimed error
-            grew slower than ``δ_j`` allows since the neighbour's last
-            observed report (see :meth:`_error_physics_rejection`).
-            Default False: the paper's servers trust each other, and the
-            hardening/Byzantine stages run the clamp themselves instead.
         trace: Optional shared trace recorder.
         poll_jitter: Optional callable giving additive jitter to each poll
             gap, de-phasing the servers' rounds.
@@ -422,7 +389,6 @@ class TimeServer(SimProcess):
         initial_error: float = 0.0,
         round_timeout: Optional[float] = None,
         recovery: Optional[RecoveryStrategy] = None,
-        error_physics: bool = False,
         trace: Optional[TraceRecorder] = None,
         poll_jitter=None,
         first_poll_at: Optional[float] = None,
@@ -467,11 +433,6 @@ class TimeServer(SimProcess):
         self._nonces = NonceSequence(name)
         self._departed = False
         self._rejoin_count = 0
-        self._error_physics = bool(error_physics)
-        # Last observed <C_j, E_j> per neighbour, valid or not — the
-        # error-physics clamp needs the previous *claim* to test growth.
-        self._last_reports: Dict[str, tuple[float, float]] = {}
-        self._physics_strikes: Dict[str, int] = {}
         self.stages: tuple[Stage, ...] = tuple(stages)
         for stage in self.stages:
             stage.attach(self)
@@ -503,12 +464,10 @@ class TimeServer(SimProcess):
         direct, wrapped = _plan(tuple(map(type, stages)))
         for method, name, index in direct:
             bound[method] = getattr(stages[index], name)
-        for method, steps, guard in wrapped:
-            base = run = getattr(type(self), method).__get__(self)
+        for method, steps in wrapped:
+            run = getattr(type(self), method).__get__(self)
             for make, name, indices in steps:
                 run = make(run, [getattr(stages[i], name) for i in indices])
-            if guard is not None:
-                run = _unless(guard, self, base, run)
             bound[method] = run
 
     # ------------------------------------------------------------- MM-1/IM-1
@@ -619,8 +578,11 @@ class TimeServer(SimProcess):
             raise ValueError(
                 f"initial_error must be non-negative, got {initial_error}"
             )
-        if not self._departed:
-            return
+        if self._departed:
+            self._rejoin(initial_error)
+
+    def _rejoin(self, initial_error: float) -> None:
+        """:meth:`rejoin` past its idempotence guard."""
         self._departed = False
         self._rejoin_count += 1
         self._epsilon = float(initial_error)
@@ -849,18 +811,13 @@ class TimeServer(SimProcess):
         ):
             return  # late, duplicate, stale, or wrong-nonce reply
         round_.outstanding.discard(reply.server)
-        rejection = self._validate_reply(reply)
-        self._note_report(reply)
-        if rejection is not None:
-            self.stats.invalid_replies += 1
-            self._trace("invalid_reply", server=reply.server, reason=rejection)
-            self.telemetry.reply_invalid(round_.tele, self.now, reply.server, rejection)
-            if not round_.outstanding and not self._may_revive(round_):
-                self._complete_round(round_)
-            return
-        local_now = self.clock_value()
-        rtt_local = max(0.0, local_now - round_.sent_local[reply.server])
-        rejection, widen = self._admit_reply(reply, rtt_local)
+        # Judged before its RTT is known, then once it is: one rejection
+        # path for both verdicts.
+        rejection, widen = self._validate_reply(reply), 0.0
+        if rejection is None:
+            local_now = self.clock_value()
+            rtt_local = max(0.0, local_now - round_.sent_local[reply.server])
+            rejection, widen = self._admit_reply(reply, rtt_local)
         if rejection is not None:
             self.stats.invalid_replies += 1
             self._trace("invalid_reply", server=reply.server, reason=rejection)
@@ -913,75 +870,23 @@ class TimeServer(SimProcess):
         """Hook: sanity-check a poll/recovery reply before it is used.
 
         Return None to accept or a short reason string to reject.  The
-        base server accepts everything (the paper's servers trust each
-        other) unless ``error_physics`` opted into the rule MM-1 growth
-        clamp; :class:`~repro.service.hardening.HardeningStage`
-        additionally rejects NaN/negative/implausible ``⟨C_j, E_j⟩``
-        pairs here.
+        base server refuses only BUSY replies (the paper's servers trust
+        each other); the peer-health book
+        (:class:`~repro.service.hardening.PeerHealth`) judges every
+        reply's ``⟨C_j, E_j⟩`` here first, once.
         """
         if reply.status is ReplyStatus.BUSY:
             # A BUSY reply carries no time at all; it must never reach a
             # synchronization policy or become a recovery reset.
             return "busy reply"
-        if self._error_physics:
-            return self._error_physics_rejection(reply)
-        return None
-
-    def _note_report(self, reply: TimeReply) -> None:
-        """Remember a neighbour's last observed (finite) ``⟨C_j, E_j⟩``."""
-        if (
-            math.isfinite(reply.clock_value)
-            and math.isfinite(reply.error)
-            and reply.error >= 0.0
-        ):
-            self._last_reports[reply.server] = (reply.clock_value, reply.error)
-
-    def _error_physics_rejection(
-        self,
-        reply: TimeReply,
-        *,
-        tolerance: float = 0.5,
-        slack: float = 1e-9,
-        strikes_to_reject: int = 2,
-    ) -> Optional[str]:
-        """The rule MM-1 growth clamp: is the claimed error physical?
-
-        Between two reports with no reset in between, MM-1 makes a
-        server's error grow *exactly* ``δ_j`` per local second:
-        ``E_j(t) = ε_j + (C_j(t) - r_j)·δ_j``.  A shrink is presumed to
-        be a legitimate reset; but an error that *grew* while growing
-        slower than ``δ_j · elapsed`` (minus ``tolerance``'s fraction
-        and a float-rounding ``slack``) is non-physical — exactly the
-        signature of a liar rescaling its reported error.  A legitimate
-        reset can land the error inside the mandated-growth window by
-        coincidence, so a reply is only rejected on the
-        ``strikes_to_reject``-th *consecutive* non-physical observation:
-        coincidences don't repeat, liars do (every round).
-        """
-        last = self._last_reports.get(reply.server)
-        if last is None:
-            return None
-        last_value, last_error = last
-        elapsed = reply.clock_value - last_value
-        if elapsed <= 0.0:
-            return None  # reordered/duplicate claim; other checks apply
-        if reply.error < last_error:
-            self._physics_strikes[reply.server] = 0
-            return None  # presumed reset
-        mandated = reply.delta * elapsed
-        growth = reply.error - last_error
-        if growth + slack < mandated * (1.0 - tolerance):
-            strikes = self._physics_strikes.get(reply.server, 0) + 1
-            self._physics_strikes[reply.server] = strikes
-            if strikes >= strikes_to_reject:
-                return "non-physical error growth"
-            return None
-        self._physics_strikes[reply.server] = 0
         return None
 
     def _complete_round(self, round_: _PollRound) -> None:
-        if round_.closed:
-            return
+        if not round_.closed:
+            self._close_round(round_)
+
+    def _close_round(self, round_: _PollRound) -> None:
+        """:meth:`_complete_round` past its idempotence guard."""
         round_.closed = True
         round_.cancel_timers()
         self._on_round_closed(round_)
@@ -1145,7 +1050,6 @@ class TimeServer(SimProcess):
         ):
             return
         rejection = self._validate_reply(reply)
-        self._note_report(reply)
         rtt_local = max(0.0, self.clock_value() - sent_local)
         widen = 0.0
         if rejection is None:

@@ -235,3 +235,24 @@ class TestValidation:
         service, _client = make_service_with_client()
         with pytest.raises(ValueError):
             service.add_client("N1", delta=-1.0)
+
+
+class TestClientFallback:
+    def test_intersect_falls_back_when_budget_exceeded(self):
+        """With more falsetickers than the budget, the client degrades to
+        min-error and marks the source as a fallback."""
+        service, client = make_service_with_client(errors=(0.05, 0.05, 0.05))
+        # Wreck two of three servers in opposite directions: no pair
+        # agreement survives a faults=0 budget.
+        service.servers["N3"].clock.set(0.0, 500.0)
+        service.servers["N4"].clock.set(0.0, -500.0)
+        results = []
+        client.ask(
+            ["N2", "N3", "N4"],
+            QueryStrategy.INTERSECT,
+            callback=results.append,
+            faults=0,
+        )
+        service.engine.run(until=3.0)
+        assert len(results) == 1
+        assert results[0].source.startswith("fallback:")

@@ -11,7 +11,7 @@ from repro.core.mm import MMPolicy
 from repro.network.delay import ConstantDelay
 from repro.network.topology import full_mesh
 from repro.network.transport import Network
-from repro.service.builder import ServerSpec, build_service
+from repro.service.builder import ServerSpec, build_service, stages_for
 from repro.service.hardening import (
     HardeningConfig,
     HardeningStage,
@@ -19,7 +19,6 @@ from repro.service.hardening import (
     PeerHealth,
     QuarantinePolicy,
     RetryPolicy,
-    hardening_stages,
 )
 from repro.service.messages import RequestKind, TimeReply
 from repro.service.server import TimeServer
@@ -31,9 +30,8 @@ from tests.helpers import make_mesh_service
 
 def lone_hardened(initial_error=0.1, config=None, n=3):
     engine = SimulationEngine()
-    network = Network(
-        engine, full_mesh(n), RngRegistry(seed=0), lan_delay=ConstantDelay(0.01)
-    )
+    rng = RngRegistry(seed=0)
+    network = Network(engine, full_mesh(n), rng, lan_delay=ConstantDelay(0.01))
     server = TimeServer(
         engine,
         "S1",
@@ -42,7 +40,13 @@ def lone_hardened(initial_error=0.1, config=None, n=3):
         network,
         policy=None,
         initial_error=initial_error,
-        stages=hardening_stages(config),
+        stages=stages_for(
+            ServerSpec("S1"),
+            None,
+            True,
+            rng,
+            hardening=config if config is not None else HardeningConfig(),
+        ),
     )
     network.register(server)
     server.start()
@@ -86,11 +90,6 @@ class TestValidation:
         # Farther off than E_i + E_j + (1+δ)ξ + slack can explain.
         engine, network, server = lone_hardened(initial_error=0.1)
         assert "implausible" in server._validate_reply(reply(50.0, 0.05))
-
-    def test_validation_can_be_disabled(self):
-        config = HardeningConfig(validate=False)
-        engine, network, server = lone_hardened(config=config)
-        assert server._validate_reply(reply(float("nan"), -1.0)) is None
 
     def test_invalid_replies_decay_health_to_quarantine(self):
         engine, network, server = lone_hardened()

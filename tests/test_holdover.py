@@ -35,14 +35,13 @@ from repro.network.topology import full_mesh, star
 from repro.network.transport import Network
 from repro.recovery.server import StabilizingStage
 from repro.recovery.store import Checkpoint, StableStore
-from repro.service.builder import ServerSpec, build_service
+from repro.service.builder import ServerSpec, build_service, stages_for
 from repro.service.discipline import DisciplineStage
 from repro.service.hardening import (
     HardeningConfig,
     HardeningStage,
     PeerHealth,
     RetryPolicy,
-    hardening_stages,
 )
 from repro.service.messages import RequestKind, TimeRequest
 from repro.service.rate_tracking import RateTrackingStage
@@ -499,11 +498,10 @@ class TestDisciplinePersistence:
 # --------------------------------------------------------------------------
 
 
-def lone_hardened(config=None, **kwargs):
+def lone_hardened(config, **kwargs):
     engine = SimulationEngine()
-    network = Network(
-        engine, full_mesh(3), RngRegistry(seed=0), lan_delay=ConstantDelay(0.01)
-    )
+    rng = RngRegistry(seed=0)
+    network = Network(engine, full_mesh(3), rng, lan_delay=ConstantDelay(0.01))
     server = TimeServer(
         engine,
         "S1",
@@ -515,7 +513,7 @@ def lone_hardened(config=None, **kwargs):
         tau=1000.0,
         first_poll_at=900.0,
         initial_error=0.1,
-        stages=hardening_stages(config),
+        stages=stages_for(ServerSpec("S1"), None, True, rng, hardening=config),
         **kwargs,
     )
     network.register(server)

@@ -1,17 +1,25 @@
-"""Dead imports and dead locals, checked where the builder runs.
+"""AST checks ruff does not cover or may not be installed to run.
 
-CI runs ``ruff check --select F401,F841`` over the same paths; ruff and
-pyflakes are not installed in the build sandbox, so this is the AST pass
-PRs 13-14 ran by hand, kept as a tier-1 test (ROADMAP 5e).  It is a
-conservative subset of the two rules: an import counts as used when its
-bound name is loaded anywhere in the module or listed in ``__all__``; a
-local counts as dead when a function assigns a plain name (not a tuple
-target, not ``_``-prefixed) and never reads it.
+* Dead imports and dead locals.  CI runs ``ruff check --select
+  F401,F841`` over the same paths; this is a conservative subset of the
+  two rules, kept as a tier-1 test for hosts without ruff or pyflakes:
+  an import counts as used when its bound name is loaded anywhere in the
+  module or listed in ``__all__``; a local counts as dead when a
+  function assigns a plain name (not a tuple target, not
+  ``_``-prefixed) and never reads it.
+* Name resolution, which no type checker here provides: a read of
+  ``self.x`` that no method, ``__init__``, class body or in-repo base
+  of the class assigns — the field deleted from ``__init__`` while a
+  read is left behind.  Checked in ``core/``, ``kernel/``,
+  ``service/server.py`` and ``service/hardening.py``; a class with a
+  base from outside the repo is skipped (its attributes are unknown).
+* One reading of the fault DSL's message events.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -108,6 +116,197 @@ def unused_locals(source: str) -> list:
                     f"line {lineno}: local {name!r} assigned but never used"
                 )
     return problems
+
+
+#: Bases that add no instance attributes a subclass could read.
+_EMPTY_BASES = {"object", "ABC", "Generic", "Protocol"}
+
+
+def _base_name(base: ast.expr) -> str:
+    if isinstance(base, ast.Subscript):  # Generic[T]
+        base = base.value
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return base.id if isinstance(base, ast.Name) else ""
+
+
+def _self_attr(node: ast.AST, self_name: str):
+    """``x`` when ``node`` is ``<self>.x``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == self_name
+    ):
+        return node.attr
+    return None
+
+
+def _methods(cls: ast.ClassDef):
+    """``(method, name of its self parameter)`` for each instance method."""
+    for item in cls.body:
+        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = {_base_name(d) for d in item.decorator_list}
+        if "staticmethod" in decorators or "classmethod" in decorators:
+            continue
+        if item.args.args:
+            yield item, item.args.args[0].arg
+
+
+def _method_nodes(method: ast.AST):
+    """A method's nodes, closures included, nested classes excluded."""
+    stack = list(ast.iter_child_nodes(method))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, ast.ClassDef):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _reads_and_stores(method: ast.AST, self_name: str):
+    """``(node, attr, is_read)`` for every ``<self>.attr`` in a method; an
+    augmented assignment's target is a read (``x += 1`` needs ``x``)."""
+    nodes = list(_method_nodes(method))
+    augmented = {id(node.target) for node in nodes if isinstance(node, ast.AugAssign)}
+    for node in nodes:
+        attr = _self_attr(node, self_name)
+        if attr is not None:
+            yield node, attr, isinstance(node.ctx, ast.Load) or id(node) in augmented
+
+
+def _own_attributes(cls: ast.ClassDef) -> set:
+    """Every name the class body or one of its methods binds on the class
+    or on ``self``."""
+    names = set()
+    for item in cls.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(item.name)
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            for target in targets:
+                names |= {
+                    node.id for node in ast.walk(target) if isinstance(node, ast.Name)
+                }
+    for method, self_name in _methods(cls):
+        names |= {
+            attr
+            for node, attr, is_read in _reads_and_stores(method, self_name)
+            if not is_read and isinstance(node.ctx, ast.Store)
+        }
+        for node in _method_nodes(method):
+            if (
+                isinstance(node, ast.Call)
+                and _base_name(node.func) in ("setattr", "__setattr__")
+                and len(node.args) >= 2
+                and isinstance(node.args[-2], ast.Constant)
+                and any(
+                    isinstance(arg, ast.Name) and arg.id == self_name
+                    for arg in node.args[:-2]
+                )
+            ):
+                names.add(node.args[-2].value)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _class_index() -> dict:
+    """Class name -> its ClassDefs across ``src/repro``."""
+    index: dict = {}
+    for path in LINTED:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                index.setdefault(node.name, []).append(node)
+    return index
+
+
+def _resolvable(cls: ast.ClassDef, index: dict, seen=()) -> "set | None":
+    """Every attribute ``cls`` and its in-repo bases bind, or None when a
+    base lies outside the repo (its attributes cannot be known)."""
+    names = _own_attributes(cls)
+    for base in cls.bases:
+        name = _base_name(base)
+        if name in _EMPTY_BASES:
+            continue
+        candidates = [c for c in index.get(name, []) if c not in seen and c is not cls]
+        if not candidates:
+            return None
+        for candidate in candidates:  # same-named classes: take them all
+            inherited = _resolvable(candidate, index, seen + (cls,))
+            if inherited is None:
+                return None
+            names |= inherited
+    return names
+
+
+def unresolved_self_attributes(source: str, index: dict) -> list:
+    """Reads of ``self.x`` that no method, ``__init__``, class body or
+    in-repo base of the enclosing class assigns."""
+    problems = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        known = _resolvable(cls, index)
+        if known is None:
+            continue
+        for method, self_name in _methods(cls):
+            for node, attr, is_read in _reads_and_stores(method, self_name):
+                if is_read and attr not in known and not attr.startswith("__"):
+                    problems.append(
+                        (
+                            node.lineno,
+                            f"line {node.lineno}: {cls.name}.{method.name} reads "
+                            f"self.{attr}, which nothing assigns",
+                        )
+                    )
+    return [problem for _, problem in sorted(problems)]
+
+
+#: Where a read of a never-assigned ``self`` attribute is checked: the
+#: paper's rules, the kernel, the server and its peer-health book.
+NAME_CHECKED = sorted(
+    [*(SRC / "core").rglob("*.py"), *(SRC / "kernel").rglob("*.py")]
+    + [SRC / "service" / "server.py", SRC / "service" / "hardening.py"]
+)
+
+
+@pytest.mark.parametrize(
+    "path", NAME_CHECKED, ids=[str(path.relative_to(SRC)) for path in NAME_CHECKED]
+)
+def test_every_self_attribute_read_is_assigned(path):
+    problems = unresolved_self_attributes(path.read_text(encoding="utf-8"), _class_index())
+    where = path.relative_to(SRC.parent.parent)
+    assert not problems, f"{where}:\n" + "\n".join(problems)
+
+
+def test_the_name_check_catches_what_it_claims_to():
+    source = (
+        "class Base:\n"
+        "    LIMIT = 3\n"
+        "    def __init__(self):\n"
+        "        self.kept = 1\n"
+        "class Policy(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "        setattr(self, 'bound', 0)\n"
+        "    def step(self):\n"
+        "        self.later = self.kept + self.LIMIT + self.bound\n"
+        "        return self.MAX_K + self.later + self.helper()\n"
+        "    def helper(self):\n"
+        "        self.rounds += 1\n"
+        "        return self.dropped\n"
+        "class Foreign(dict):\n"
+        "    def get_it(self):\n"
+        "        return self.anything\n"
+    )
+    index: dict = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            index.setdefault(node.name, []).append(node)
+    assert unresolved_self_attributes(source, index) == [
+        "line 11: Policy.step reads self.MAX_K, which nothing assigns",
+        "line 13: Policy.helper reads self.rounds, which nothing assigns",
+        "line 14: Policy.helper reads self.dropped, which nothing assigns",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -360,3 +360,12 @@ class TestMessageTaps:
         assert network.send("S1", "S2", "two")
         engine.run()
         assert sinks["S2"].received == [(0.1, "two")]
+
+
+class TestNetworkBroadcastTargets:
+    def test_explicit_target_list(self):
+        engine, network, sinks = make_network(full_mesh(4))
+        count = network.broadcast("S1", lambda dest: f"to-{dest}", targets=["S2", "S4"])
+        engine.run()
+        assert count == 2
+        assert [len(sinks[name].received) for name in ("S2", "S3", "S4")] == [1, 0, 1]

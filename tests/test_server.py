@@ -4,6 +4,7 @@ machinery)."""
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.clocks.drift import DriftingClock
@@ -395,3 +396,89 @@ class TestChurn:
         server.leave()
         assert server._recovery_inflight is None
         assert recovery.stats.recoveries_timed_out == 1
+
+
+class TestOverlappingRounds:
+    def test_slow_network_rounds_still_progress(self):
+        """Round trips near τ: each new round force-closes its predecessor
+        and the service still synchronizes."""
+        specs = [
+            ServerSpec("S1", delta=1e-4, skew=8e-5),
+            ServerSpec("S2", delta=1e-4, skew=-8e-5),
+            ServerSpec("S3", reference=True, initial_error=0.001),
+        ]
+        service = build_service(
+            full_mesh(3),
+            specs,
+            policy=IMPolicy(),
+            tau=4.0,
+            seed=0,
+            lan_delay=UniformDelay(1.5),  # rtt up to 3 s vs τ = 4 s
+            round_timeout=3.9,
+        )
+        service.run_until(400.0)
+        snap = service.snapshot()
+        assert snap.all_correct
+        assert all(
+            s.stats.rounds > 50
+            for s in service.servers.values()
+            if s.policy is not None
+        )
+
+    def test_round_timeout_closes_partial_rounds(self):
+        service = make_mesh_service(3, IMPolicy(), tau=30.0, trace_enabled=True)
+        # Cut one link: every round at S1 loses S2's (or S3's) reply.
+        service.network.link("S1", "S2").take_down()
+        service.run_until(300.0)
+        server = service.servers["S1"]
+        # Rounds complete anyway (by timeout) and resets still happen.
+        assert server.stats.rounds >= 9
+        assert server.stats.resets > 0
+        assert server.is_correct()
+
+
+class TestRecoveryEdgeCases:
+    def _racing_mesh(self, n, recovery=ThirdServerRecovery):
+        """S1 races; the other ``n - 1`` servers answer only, so every
+        recovery reply travels to S1 from one of them."""
+        specs = [ServerSpec("S1", delta=1e-6, skew=0.01)] + [
+            ServerSpec(f"S{k}", delta=1e-6, skew=0.0, polls=False)
+            for k in range(2, n + 1)
+        ]
+        return build_service(
+            full_mesh(n),
+            specs,
+            policy=MMPolicy(),
+            tau=20.0,
+            seed=0,
+            lan_delay=ConstantDelay(0.01),
+            recovery_factory=lambda name: recovery(),
+            trace_enabled=True,
+        )
+
+    def test_lost_recovery_reply_releases_inflight_slot(self):
+        service = self._racing_mesh(3)
+        # Drop every message into S1 after a while: recovery replies lost.
+        service.run_until(100.0)
+        service.network.link("S1", "S2").loss_probability = 1.0
+        service.network.link("S1", "S3").loss_probability = 1.0
+        service.run_until(200.0)
+        # Heal; recovery must resume (the in-flight slot was timed out,
+        # not leaked).
+        service.network.link("S1", "S2").loss_probability = 0.0
+        service.network.link("S1", "S3").loss_probability = 0.0
+        before = service.servers["S1"].stats.recovery_resets
+        service.run_until(400.0)
+        assert service.servers["S1"].stats.recovery_resets > before
+
+    def test_recovery_with_rng_choice(self):
+        service = self._racing_mesh(
+            4, lambda: ThirdServerRecovery(rng=np.random.default_rng(0))
+        )
+        service.run_until(600.0)
+        arbiters = {
+            row.data["arbiter"]
+            for row in service.trace.filter(kind="recovery_start", source="S1")
+        }
+        # Random choice across episodes exercises more than one arbiter.
+        assert len(arbiters) >= 2

@@ -2,11 +2,12 @@
 
 * *Structure* — no class in ``src/repro`` extends :class:`TimeServer`
   beyond a constructor, the server has no ``__getattr__``, and a
-  stage-less server carries no instance-level dispatcher (the zero-cost
-  guarantee).
+  stage-less server carries no instance-level dispatcher and no
+  per-neighbour state (the zero-cost guarantee); both planes take their
+  stage lists from the builder's one table.
 * *Order* — the hook table is the single source: before-hooks run last
-  stage first, after-hooks first stage first, and ``DESIGN.md`` carries
-  the rendered table.
+  stage first, after-hooks first stage first, a ``sole`` row refuses a
+  second implementer, and ``DESIGN.md`` carries the rendered table.
 * *Composition* — every ``(ServerSpec flags, build_service configs)``
   combination attaches every stage asked for, each stage does work, and
   the composed servers hold the strict oracle through a blackout, a
@@ -40,8 +41,11 @@ from repro.load import CapacityConfig, FlashCrowdProfile, LoadStage, WorkloadGen
 from repro.network.delay import UniformDelay
 from repro.network.topology import full_mesh
 from repro.recovery import SelfStabilizingRecovery, StabilizingStage
+from repro.runtime import node as node_module
+from repro.runtime.node import build_node
 from repro.security import Keyring, SecurityConfig, SecurityStage
 from repro.service import builder as builder_module
+from repro.service import hardening as hardening_module
 from repro.service.builder import ServerSpec, build_service
 from repro.service.discipline import DisciplineStage
 from repro.service.hardening import HardeningConfig, HardeningStage, PeerHealth
@@ -81,11 +85,12 @@ def render_hook_table() -> str:
     ]
     table = implementers()
     for hook in HOOKS:
-        runs = (
-            "before the base, last stage first"
-            if hook.when == "before"
-            else "after the base, first stage first"
-        )
+        if hook.rule == "sole":
+            runs = "in the base no-op's place"
+        elif hook.when == "before":
+            runs = "before the base, last stage first"
+        else:
+            runs = "after the base, first stage first"
         lines.append(
             f"| `{hook.name}` | `{hook.method}` | {hook.rule} | {runs} "
             f"| {', '.join(table[hook.name])} |"
@@ -130,6 +135,20 @@ class TestStructure:
             hooked = {hook.method for hook in HOOKS} & set(vars(server))
             assert hooked == set()
 
+    def test_a_stageless_server_keeps_no_per_neighbour_state(self):
+        # Judging replies is the peer-health book's: the paper's server
+        # remembers nothing about a neighbour between its replies.
+        service = build_service(full_mesh(3), _specs(3), policy=MMPolicy(), tau=10.0)
+        service.run_until(200.0)
+        for server in service.servers.values():
+            assert server.stats.replies_handled > 0
+            keyed = [
+                name
+                for name, value in vars(server).items()
+                if isinstance(value, dict) and value.keys() & service.servers.keys()
+            ]
+            assert keyed == []
+
     def test_only_implemented_hooks_are_bound(self):
         service = build_service(
             full_mesh(2), _specs(2), policy=MMPolicy(), hardening=HardeningConfig()
@@ -163,19 +182,37 @@ class TestStructure:
         source = Path(builder_module.__file__).read_text()
         assert "server_class" not in source
         tree = ast.parse(source)
-        build = next(
+        table = next(
             node
             for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "build_service"
+            if isinstance(node, ast.FunctionDef) and node.name == "stages_for"
         )
         # Which stages a server gets is one table: each is named once.
         named = [
             node.id
-            for node in ast.walk(build)
+            for node in ast.walk(table)
             if isinstance(node, ast.Name) and node.id.endswith("Stage")
         ]
         assert sorted(named) == sorted(set(named))
         assert not any("elif spec." in line for line in source.splitlines())
+
+    def test_the_live_node_takes_its_stages_from_the_same_table(self):
+        config = {
+            "name": "A",
+            "host": "127.0.0.1",
+            "port": 0,
+            "peers": {"A": ["127.0.0.1", 1], "B": ["127.0.0.1", 2]},
+            "edges": [["A", "B"]],
+        }
+        expected = {
+            "plain": [],
+            "hardened": [PeerHealth, HardeningStage, SlewRail],
+            "authenticated": [PeerHealth, HardeningStage, SecurityStage, SlewRail],
+        }
+        for kind, stages in expected.items():
+            node = build_node(dict(config, kind=kind))
+            assert [type(stage) for stage in node.server.stages] == stages, kind
+        assert "Stage(" not in Path(node_module.__file__).read_text()
 
 
 # ---------------------------------------------------------------------- order
@@ -253,6 +290,24 @@ class TestOrder:
         server._apply_reset(ResetDecision(5.0, 0.01, "X"), "sync")
         assert server.stats.resets == 0
         assert ("after", "inner") not in log and ("after", "outer") not in log
+
+    def test_a_sole_hook_refuses_a_second_implementer(self):
+        class Reviver(Stage):
+            def _may_revive(self, round_):
+                return True
+
+        service = build_service(full_mesh(2), _specs(2), policy=MMPolicy(), start=False)
+        with pytest.raises(ValueError, match="_may_revive .*HardeningStage and Reviver"):
+            TimeServer(
+                service.engine,
+                "S1",
+                DriftingClock(0.0),
+                1e-5,
+                service.network,
+                MMPolicy(),
+                30.0,
+                stages=[PeerHealth(None), HardeningStage(), Reviver()],
+            )
 
     def test_design_md_carries_the_hook_table(self):
         design = (ROOT / "DESIGN.md").read_text()
@@ -350,7 +405,7 @@ class TestNothingIsDropped:
                 assert server.security_stats.auth_failures == 0
                 assert server.stats.invalid_replies == 0
                 assert reference.stage(SecurityStage) is not None
-                assert "S1" in server._last_reports
+                assert "S1" in server.rate_reports()  # ... and observed
             if server.stage(StabilizingStage) is not None:
                 assert service.stable_store.read(name) is not None
             if DisciplineStage in wanted and StabilizingStage in wanted:
@@ -372,9 +427,38 @@ class TestNothingIsDropped:
         assert server.stage(HardeningStage).peers is book
         assert server.stage(ByzantineStage).peers is book
         assert server.health is book.health
-        # The MM-1 growth clamp keeps strike state: exactly one stage runs it.
-        assert server.stage(ByzantineStage).byzantine.error_physics
-        assert not server.stage(HardeningStage).hardening.error_physics
+        # The MM-1 growth clamp keeps strike state: exactly one object
+        # runs it, the book.
+        holders = [
+            owner
+            for owner in (server, *server.stages)
+            if any("strike" in name for name in vars(owner))
+        ]
+        assert holders == [book]
+
+    def test_each_reply_is_judged_once(self, monkeypatch):
+        """One sanity check per judged reply on a server carrying both
+        hardening and Byzantine tolerance."""
+        checks = []
+        sanity = hardening_module.reply_sanity_rejection
+
+        def counted(*args, **kw):
+            checks.append(1)
+            return sanity(*args, **kw)
+
+        monkeypatch.setattr(hardening_module, "reply_sanity_rejection", counted)
+        service = _composed("byzantine_tolerant", hardening=True)
+        judged = []
+        for name in ("S2", "S3", "S4"):
+            server = service.servers[name]
+
+            def judge(reply, validate=server._validate_reply):
+                judged.append(1)
+                return validate(reply)
+
+            server._validate_reply = judge
+        service.run_until(150.0)
+        assert judged and len(checks) == len(judged)
 
     def test_cli_authenticated_holdover_reports_signed_traffic(self, capsys):
         code = cli.main(
