@@ -6,11 +6,11 @@ Three layers (see ``docs/kernel.md`` for the design):
   round kernels: interval construction, the Marzullo sweep, and the
   MM-2/IM-2 predicates over stacked per-neighbour reply arrays, with the
   scalar :mod:`repro.core` functions as the differential-test oracle.
-* :mod:`repro.kernel.engine` — the batched round engine: ``"exact"`` mode
-  replays the heap engine bit-for-bit; plan/config validation shared with
-  bulk mode.
-* :mod:`repro.kernel.shard` / :mod:`repro.kernel.sync` — the bulk scale
-  mode: per-cycle vectorized shards, conservative-lookahead cycle barriers,
+* :mod:`repro.kernel.engine` — plan/config validation (the heap engine's
+  poll stagger, the features the kernel refuses) and
+  :func:`build_kernel_service`.
+* :mod:`repro.kernel.shard` / :mod:`repro.kernel.sync` — the bulk engine:
+  per-cycle vectorized shards, conservative-lookahead cycle barriers,
   deterministic cross-shard trace merging and digests.
 """
 
@@ -25,7 +25,6 @@ from .batch import (
     transit_edges,
 )
 from .engine import (
-    ExactKernelService,
     KernelConfig,
     KernelPlan,
     PolicyFlags,
@@ -50,7 +49,6 @@ __all__ = [
     "mm2_adoption_error",
     "mm2_eval",
     "transit_edges",
-    "ExactKernelService",
     "KernelConfig",
     "KernelPlan",
     "PolicyFlags",

@@ -1,6 +1,6 @@
 """Bulk mode: vectorized per-cycle shards with conservative-lookahead sync.
 
-This is the scale arm of the kernel.  The topology's servers (sorted by
+This is the kernel's one engine.  The topology's servers (sorted by
 name) are split into contiguous shards; each shard advances one full poll
 cycle at a time as numpy array phases over all of its servers, and shards
 share one thing: a double-buffered table of every server's cycle-start
@@ -16,8 +16,9 @@ in arrival order with each accepted reset visible to later replies of the
 same round, IM rounds age and intersect exactly as rule IM-2 prescribes
 (via :func:`repro.kernel.batch.im2_round`).  Answers lag by at most one
 round — bounded by the same ``(1 + δ)·ξ`` slack rule MM-2 already charges —
-so correctness properties are preserved while exactness is mode
-``"exact"``'s job (see ``docs/kernel.md``).
+so correctness properties are preserved; the event ledger matches the heap
+engine's and the error cost stays within a few per cent (see
+``docs/kernel.md``).
 
 **Lookahead safety.**  A cycle-``c`` round polls at ``phase + c·τ`` and
 closes by ``phase + c·τ + 2·bound``.  A shard may therefore advance its

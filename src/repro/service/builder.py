@@ -290,6 +290,13 @@ class SimulatedService:
         return names
 
 
+def poll_phase(tau: float, k: int, n: int) -> float:
+    """First poll time of the ``k``-th of ``n`` polling servers (sorted by
+    name): ``(k + 1) / (n + 1)`` of a period, spreading rounds evenly
+    across τ.  The heap engine and the kernel plan both stagger with it."""
+    return tau * (k + 1) / (n + 1)
+
+
 def stages_for(
     spec: ServerSpec,
     clock: Optional[Clock],
@@ -488,8 +495,6 @@ def build_service(
         long_haul=long_haul,
     )
 
-    # Deterministic phase offsets: polling server k's first round fires at
-    # (k + 1) / (n + 1) of a period, spreading rounds evenly across τ.
     policies: Dict[str, Optional[SynchronizationPolicy]] = {}
     for spec in specs:
         if spec.reference or not spec.polls:
@@ -502,7 +507,7 @@ def build_service(
     phase: Dict[str, float] = {}
     if stagger_polls:
         for k, name in enumerate(sorted(polling_names)):
-            phase[name] = tau * (k + 1) / (len(polling_names) + 1)
+            phase[name] = poll_phase(tau, k, len(polling_names))
 
     service_telemetry = (
         telemetry if telemetry is not None else NULL_SERVICE_TELEMETRY

@@ -1,12 +1,15 @@
-"""Determinism regressions for the batched/sharded kernel engine.
+"""Regressions for the batched/sharded kernel engine.
 
-Three guarantees are pinned here, each as a digest comparison so any drift
-in arithmetic, ordering, or RNG consumption fails loudly:
+Each guarantee is pinned as a digest comparison or a measured bound, so any
+drift in arithmetic, ordering, or RNG consumption fails loudly:
 
-* **exact mode vs the heap engine** — on a clean staggered mesh, the
-  round-structured replay produces the *same trace, byte for byte*, the
-  same event ledger, the same per-server stats and the same final snapshot
-  as :func:`repro.service.builder.build_service`'s discrete-event run;
+* **bulk runs the heap engine's plan** — on a clean staggered mesh and on
+  a stratum hierarchy, bulk processes the same event ledger (events,
+  rounds, replies, answers) and writes the same kinds of trace rows as
+  :func:`repro.service.builder.build_service`'s discrete-event run, and
+  its Jacobi answer basis costs each stratum's mean error less than ±5 %
+  against the heap engine (a two-one-sided-t equivalence test over 30
+  seeds) while every snapshot stays correct;
 * **bulk mode is deterministic** — same seed → identical trace and state
   digests across runs; different seed → different state;
 * **bulk mode is partition-invariant** — 1 shard, 4 shards, and 4 shards
@@ -33,12 +36,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from repro.core.im import IMPolicy
 from repro.core.mm import MMPolicy
 from repro.experiments import scale_gauntlet
 from repro.network import ConstantDelay, UniformDelay
-from repro.network.topology import full_mesh, ring, stratum_hierarchy
+from repro.network.topology import full_mesh, ring, stratum_hierarchy, stratum_of
 from repro.service.builder import ServerSpec, build_service
 from repro.kernel import (
     KernelConfig,
@@ -57,7 +61,7 @@ STAT_FIELDS = (
     "rejects", "inconsistencies", "requests_answered",
 )
 TAU = 10.0
-DELAY = 0.01  # one-way bound; 2·bound = 0.02 < τ/(n+1) for n <= 499
+DELAY = 0.01  # one-way bound; 2·bound < τ/(n+1) for n <= 499: no round straddles a τ-grid time
 
 
 def mesh_specs(n: int) -> list[ServerSpec]:
@@ -120,48 +124,105 @@ def stats_totals(svc) -> dict[str, int]:
     }
 
 
-# ------------------------------------------------------- exact vs heap engine
+# --------------------------------------------------- agreement with the heap
 
 
-class TestExactVsScalar:
+def heap_case(graph_name):
+    if graph_name == "mesh8":
+        return full_mesh(8), mesh_specs(8)
+    graph = stratum_hierarchy(60)
+    return graph, scale_gauntlet.build_specs(graph)
+
+
+def ledger(per_server, trace, events) -> tuple:
+    """Events, then totals of the counters bulk shares with the heap
+    engine, then the set of trace row shapes."""
+    totals = tuple(
+        sum(getattr(stats, field) for stats in per_server)
+        for field in ("rounds", "replies_handled", "requests_answered")
+    )
+    shapes = {(record.kind, tuple(sorted(record.data))) for record in trace}
+    return events, totals, shapes
+
+
+def stratum_mean_errors(graph, snapshots) -> dict[int, float]:
+    """Per stratum, the mean ``E_i`` over its servers and all snapshots;
+    every snapshot must be correct (Theorems 1/5)."""
+    for snapshot in snapshots:
+        assert all(snapshot.correct.values()), snapshot.time
+    by_stratum: dict[int, list[str]] = {}
+    for name in sorted(graph):
+        by_stratum.setdefault(stratum_of(name), []).append(name)
+    return {
+        stratum: float(np.mean(
+            [snapshot.errors[name] for snapshot in snapshots for name in names]
+        ))
+        for stratum, names in by_stratum.items()
+    }
+
+
+class TestHeapAgreement:
     @pytest.mark.parametrize("policy_name", ["mm", "im"])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_trace_and_state_bit_identical(self, policy_name, seed):
-        graph = full_mesh(8)
-        specs = mesh_specs(8)
+    @pytest.mark.parametrize("graph_name", ["mesh8", "stratum60"])
+    def test_bulk_keeps_the_heap_event_ledger(self, graph_name, policy_name):
+        """Same plan: same poll stagger, same rounds, same messages.
+
+        ``resets`` and ``rejects`` are not compared: they differ by design,
+        because bulk answers from cycle-start state (Jacobi).
+        """
+        graph, specs = heap_case(graph_name)
         policy = MMPolicy() if policy_name == "mm" else IMPolicy()
         horizon = 300.0
+        heap = scalar_service(graph, specs, policy, 0)
+        heap.run_until(horizon)
+        expected = ledger(
+            [server.stats for server in heap.servers.values()],
+            heap.trace,
+            heap.engine.events_processed,
+        )
+        with kernel_service(graph, specs, policy, 0, mode="bulk") as bulk:
+            bulk.run_until(horizon)
+            assert ledger(
+                bulk.stats.values(), bulk.trace, bulk.events_processed
+            ) == expected
+        assert expected[0] > 0 and "reset" in {kind for kind, _ in expected[2]}
 
-        scalar = scalar_service(graph, specs, policy, seed)
-        scalar.run_until(horizon)
-        exact = kernel_service(graph, specs, policy, seed, mode="exact")
-        exact.run_until(horizon)
+    @pytest.mark.parametrize("policy_name", ["mm", "im"])
+    def test_jacobi_error_cost_is_within_five_percent(self, policy_name):
+        """Two one-sided t-tests: per stratum, bulk's per-seed mean error
+        lies within ±5 % of the heap engine's, at p < 0.01 over 30 seeds.
 
-        assert trace_digest(exact.trace) == trace_digest(scalar.trace)
-        assert len(list(exact.trace)) == len(list(scalar.trace))
-        assert exact.events_processed == scalar.engine.events_processed
-
-        scalar_snap = scalar.snapshot()
-        exact_snap = exact.snapshot()
-        assert exact_snap.time == scalar_snap.time
-        for name in sorted(s.name for s in specs):
-            assert exact_snap.values[name] == scalar_snap.values[name]
-            assert exact_snap.errors[name] == scalar_snap.errors[name]
-
-        for name, kstats in exact.stats.items():
-            sstats = scalar.servers[name].stats
-            for field in STAT_FIELDS:
-                assert getattr(kstats, field) == getattr(sstats, field), (
-                    f"{name}.{field}"
-                )
-
-    def test_exact_rounds_actually_reset(self):
-        # Guard against vacuous digest equality: the run must do real work.
-        exact = kernel_service(full_mesh(8), mesh_specs(8), MMPolicy(), 0,
-                               mode="exact")
-        exact.run_until(300.0)
-        assert sum(s.resets for s in exact.stats.values()) > 0
-        assert exact.events_processed > 0
+        Not an equality test: deep strata are measurably worse under the
+        cycle-start answer basis (IM stratum 3 ≈ ×1.026).  A stratum that
+        agrees on every seed (MM stratum 1: the core mesh) has no variance
+        to test and passes as an exact match.
+        """
+        graph = stratum_hierarchy(60)
+        specs = scale_gauntlet.build_specs(graph)
+        policy = MMPolicy() if policy_name == "mm" else IMPolicy()
+        times = [TAU * c for c in range(1, 21)]
+        heap: dict[int, list[float]] = {}
+        bulk: dict[int, list[float]] = {}
+        for seed in range(30):
+            heap_run = scalar_service(graph, specs, policy, seed)
+            for stratum, mean in stratum_mean_errors(graph, heap_run.sample(times)).items():
+                heap.setdefault(stratum, []).append(mean)
+            with kernel_service(graph, specs, policy, seed, mode="bulk") as bulk_run:
+                for stratum, mean in stratum_mean_errors(graph, bulk_run.sample(times)).items():
+                    bulk.setdefault(stratum, []).append(mean)
+        assert sorted(heap) == [1, 2, 3]
+        for stratum, heap_means in heap.items():
+            h, b = np.array(heap_means), np.array(bulk[stratum])
+            if np.array_equal(h, b):
+                continue
+            above = scipy_stats.ttest_ind(
+                b, 0.95 * h, equal_var=False, alternative="greater"
+            )
+            below = scipy_stats.ttest_ind(
+                b, 1.05 * h, equal_var=False, alternative="less"
+            )
+            ratio = b.mean() / h.mean()
+            assert max(above.pvalue, below.pvalue) < 0.01, (stratum, ratio)
 
 
 # ------------------------------------------------------------ bulk determinism
@@ -382,32 +443,12 @@ class TestPlanValidation:
                 )
             )
 
-    def test_exact_mode_preconditions(self):
-        graph = full_mesh(8)
-        specs = mesh_specs(8)
-        # Round span 2·bound must fit inside the stagger gap τ/(n+1)...
-        with pytest.raises(ValueError, match="non-overlapping"):
-            kernel_service(
-                graph, specs, MMPolicy(), 0, mode="exact",
-                lan_delay=UniformDelay(2.0 * TAU),
-            )
-        # ...and the round timer must never cut a round short.
-        with pytest.raises(ValueError, match="round_timeout"):
-            kernel_service(
-                graph, specs, MMPolicy(), 0, mode="exact",
-                round_timeout=DELAY / 2.0,
-            )
-
-    def test_exact_mode_is_single_shard(self):
-        with pytest.raises(ValueError, match="single-shard"):
-            kernel_service(
-                full_mesh(4), mesh_specs(4), MMPolicy(), 0,
-                mode="exact", shards=2,
-            )
-        with pytest.raises(ValueError, match="mode"):
-            kernel_service(
-                full_mesh(4), mesh_specs(4), MMPolicy(), 0, mode="turbo",
-            )
+    def test_bulk_is_the_only_mode(self):
+        for mode in ("exact", "turbo"):
+            with pytest.raises(ValueError, match="'bulk', the only kernel mode"):
+                kernel_service(
+                    full_mesh(4), mesh_specs(4), MMPolicy(), 0, mode=mode,
+                )
 
     def test_run_backwards_raises(self):
         with kernel_service(
