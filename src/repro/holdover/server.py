@@ -46,6 +46,7 @@ holdover-quality timekeeping.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,31 +55,33 @@ from ..recovery.server import StabilizingStage
 from ..service.discipline import DisciplineStage
 from ..service.messages import ReplyStatus, RequestKind, TimeReply, TimeRequest
 from ..service.server import Stage, TimeServer
-from ..telemetry.registry import CounterBackedStats, CounterField
+from ..telemetry.registry import metric_field
 from .controller import HoldoverConfig, HoldoverController, HoldoverState
 
 __all__ = ["HoldoverStage", "HoldoverStats"]
 
 
-class HoldoverStats(CounterBackedStats):
-    """Safety-rail counters (registry-backed; see ``docs/observability.md``)."""
+@dataclass
+class HoldoverStats:
+    """Safety-rail counters, exported as ``repro_<field>_total`` (see
+    ``docs/observability.md``)."""
 
     prefix = "repro_"
 
-    insane_resets = CounterField(
+    insane_resets: int = metric_field(
         "Resets refused outright for exceeding the sanity bound"
     )
-    suppressed_resets = CounterField(
+    suppressed_resets: int = metric_field(
         "Resets suppressed while not SYNCED (staged reintegration)"
     )
-    holdover_entries = CounterField("Transitions into HOLDOVER from SYNCED")
-    degraded_transitions = CounterField(
+    holdover_entries: int = metric_field("Transitions into HOLDOVER from SYNCED")
+    degraded_transitions: int = metric_field(
         "Watchdog transitions HOLDOVER -> DEGRADED (trust horizon exceeded)"
     )
-    reintegrations = CounterField(
+    reintegrations: int = metric_field(
         "Completed reintegrations (REINTEGRATING -> SYNCED)"
     )
-    degraded_refusals = CounterField(
+    degraded_refusals: int = metric_field(
         "Client requests refused with BUSY while DEGRADED"
     )
 
@@ -126,7 +129,7 @@ class HoldoverStage(Stage):
         self.rates = discipline.rates
         discipline.frozen = self._servo_frozen
         self.holdover.reanchor(server.clock.read(server.now))
-        self.holdover_stats = HoldoverStats(server.telemetry.stats_registry())
+        self.holdover_stats = HoldoverStats()
 
     # ------------------------------------------------------------ lifecycle
 

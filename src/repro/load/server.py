@@ -37,7 +37,7 @@ import numpy as np
 
 from ..service.messages import ReplyStatus, RequestKind, TimeReply, TimeRequest
 from ..service.server import Stage, TimeServer
-from ..telemetry.registry import CounterBackedStats, CounterField
+from ..telemetry.registry import metric_field
 from .admission import (
     OverloadConfig,
     OverloadDetector,
@@ -88,25 +88,21 @@ class LoadPolicy:
         )
 
 
-class LoadStats(CounterBackedStats):
-    """What the request path did, beyond the queue's own accounting.
-
-    Registry-backed (see :class:`~repro.telemetry.registry.
-    CounterBackedStats`): attribute reads and ``+=`` behave exactly as
-    the old dataclass integers did, while the values export as
-    ``repro_load_*_total`` counter families when telemetry is on.
-    """
+@dataclass
+class LoadStats:
+    """What the request path did, beyond the queue's own accounting;
+    exported as ``repro_load_<field>_total``."""
 
     prefix = "repro_load_"
 
-    fresh_replies = CounterField("Client requests answered with a live report")
-    degraded_replies = CounterField("Client requests answered from the cache")
+    fresh_replies: int = metric_field("Client requests answered with a live report")
+    degraded_replies: int = metric_field("Client requests answered from the cache")
     # ... whose interval contained true time (oracle).
-    degraded_correct = CounterField("Degraded replies that were correct")
-    busy_replies = CounterField("BUSY replies sent (admission, shedding, eviction)")
-    shed_silent = CounterField("Shed without the courtesy of a BUSY reply")
-    sync_evictions = CounterField("Client entries evicted for sync-plane arrivals")
-    sync_drops = CounterField("Sync-plane arrivals lost to a full queue")
+    degraded_correct: int = metric_field("Degraded replies that were correct")
+    busy_replies: int = metric_field("BUSY replies sent (admission, shedding, eviction)")
+    shed_silent: int = metric_field("Shed without the courtesy of a BUSY reply")
+    sync_evictions: int = metric_field("Client entries evicted for sync-plane arrivals")
+    sync_drops: int = metric_field("Sync-plane arrivals lost to a full queue")
 
 
 class LoadStage(Stage):
@@ -154,7 +150,7 @@ class LoadStage(Stage):
 
     def attach(self, server: TimeServer) -> None:
         super().attach(server)
-        self.load_stats = LoadStats(server.telemetry.stats_registry())
+        self.load_stats = LoadStats()
 
     # ------------------------------------------------------------- lifecycle
 
@@ -206,6 +202,7 @@ class LoadStage(Stage):
         else:  # a claimed drift ≥ 100% makes local age meaningless
             inflated = math.inf
         server.stats.requests_answered += 1
+        server.stats.client_answers += 1
         self.load_stats.degraded_replies += 1
         if served - inflated <= server.now <= served + inflated:
             self.load_stats.degraded_correct += 1

@@ -31,7 +31,7 @@ from typing import Optional
 from ..network.delay import DelayModel
 from ..service.messages import RequestKind, TimeReply, TimeRequest
 from ..service.server import Stage, TimeServer
-from ..telemetry.registry import CounterBackedStats, CounterField
+from ..telemetry.registry import metric_field
 from .auth import Keyring, MessageAuthenticator
 from .delayguard import DelayGuard
 from .replay import ReplayGuard
@@ -68,19 +68,20 @@ class SecurityConfig:
     delay_slack: float = 1e-4
 
 
-class SecurityStats(CounterBackedStats):
-    """Counters of the security layer (``repro_*_total`` families)."""
+@dataclass
+class SecurityStats:
+    """Counters of the security layer (``repro_<field>_total`` families)."""
 
     prefix = "repro_"
 
-    auth_failures = CounterField(
+    auth_failures: int = metric_field(
         "Messages rejected by MAC verification (missing/unknown-key/bad-mac)"
     )
-    replay_drops = CounterField("Messages rejected by the anti-replay window")
-    delay_attack_detections = CounterField(
+    replay_drops: int = metric_field("Messages rejected by the anti-replay window")
+    delay_attack_detections: int = metric_field(
         "Replies rejected by the delay guard (too-fast or beyond-bound)"
     )
-    delay_widens = CounterField(
+    delay_widens: int = metric_field(
         "Replies tolerated beyond the declared delay bound with the "
         "excess charged to the adopted error"
     )
@@ -106,8 +107,7 @@ class SecurityStage(Stage):
 
     def attach(self, server: TimeServer) -> None:
         super().attach(server)
-        registry = server.telemetry.stats_registry()
-        self.security_stats = SecurityStats(registry)
+        self.security_stats = SecurityStats()
         self._delay_guard = (
             DelayGuard(
                 server.delta,
@@ -117,17 +117,12 @@ class SecurityStage(Stage):
             if self.security.delay_guard
             else None
         )
-        self._key_epoch_gauge = (
-            registry.gauge(
-                "repro_security_key_epoch",
-                "The keyring's rotation epoch (0 = initial keys)",
-                ("server",),
-            ).labels()
-            if registry is not None
-            else None
-        )
-        if self._key_epoch_gauge is not None:
-            self._key_epoch_gauge.set(float(self.security.keyring.epoch))
+        self._key_epoch_gauge = server.telemetry.registry.gauge(
+            "repro_security_key_epoch",
+            "The keyring's rotation epoch (0 = initial keys)",
+            ("server",),
+        ).labels()
+        self._key_epoch_gauge.set(float(self.security.keyring.epoch))
 
     # ------------------------------------------------------------ keyring
 
@@ -135,8 +130,7 @@ class SecurityStage(Stage):
         """Rotate the cluster keyring's signing key (shared object: one
         rotation serves every server on the ring)."""
         new_id = self.security.keyring.rotate()
-        if self._key_epoch_gauge is not None:
-            self._key_epoch_gauge.set(float(self.security.keyring.epoch))
+        self._key_epoch_gauge.set(float(self.security.keyring.epoch))
         self.server._trace("key_rotation", key_id=new_id)
         return new_id
 

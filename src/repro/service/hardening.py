@@ -45,7 +45,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..telemetry.registry import CounterBackedStats, CounterField
+from ..telemetry.registry import metric_field
 from .messages import RequestKind, TimeReply, TimeRequest
 from .server import Stage, TimeServer, _PollRound
 
@@ -244,23 +244,18 @@ def reply_sanity_rejection(
     return None
 
 
-class HardeningStats(CounterBackedStats):
-    """Counters the hardening stage adds on top of ``ServerStats``.
-
-    Registry-backed (see :class:`~repro.telemetry.registry.
-    CounterBackedStats`): the attributes still read and ``+=`` like the
-    plain integers they once were, but the values live in counter
-    families (``repro_hardening_*_total``) and appear in the service-wide
-    telemetry export when the server is built with telemetry enabled.
-    """
+@dataclass
+class HardeningStats:
+    """Counters the hardening stage adds on top of ``ServerStats``,
+    exported as ``repro_hardening_<field>_total``."""
 
     prefix = "repro_hardening_"
 
-    retries_sent = CounterField("Poll retransmissions sent")
-    recovery_retries = CounterField("Recovery request retransmissions sent")
-    quarantines = CounterField("Neighbour quarantines imposed")
+    retries_sent: int = metric_field("Poll retransmissions sent")
+    recovery_retries: int = metric_field("Recovery request retransmissions sent")
+    quarantines: int = metric_field("Neighbour quarantines imposed")
     # Quarantined peers re-admitted by the starvation guard.
-    starvation_overrides = CounterField("Quarantined peers re-admitted")
+    starvation_overrides: int = metric_field("Quarantined peers re-admitted")
 
 
 class PeerHealth(Stage):
@@ -489,7 +484,7 @@ class HardeningStage(Stage):
         super().attach(server)
         self.peers = self.need(PeerHealth)
         self.peers.reporters.append(self)
-        self.hardening_stats = HardeningStats(server.telemetry.stats_registry())
+        self.hardening_stats = HardeningStats()
 
     # ------------------------------------------------------------- health
 

@@ -58,6 +58,10 @@ from ..telemetry.instruments import (
 from .idspace import RECOVERY_ID_SPACE, NonceSequence, RequestIdAllocator
 from .messages import ReplyStatus, RequestKind, TimeReply, TimeRequest
 
+# Identity tests against a module global: reading ``RequestKind.POLL``
+# goes through the enum metaclass, several times a plain global's cost.
+_POLL, _CLIENT = RequestKind.POLL, RequestKind.CLIENT
+
 
 @dataclass
 class _PendingReply:
@@ -91,19 +95,34 @@ class _PollRound:
 
 @dataclass
 class ServerStats:
-    """Counters for analysis and tests."""
+    """Counters for analysis and tests — the only count of each decision
+    (the telemetry handle reads them at scrape time)."""
 
     rounds: int = 0
     replies_handled: int = 0
     resets: int = 0
-    rejects: int = 0
+    rejects: int = 0  # rule MM-2 kept its own interval over the reply
     inconsistencies: int = 0
     recovery_resets: int = 0
     requests_answered: int = 0
+    polls_sent: int = 0  # poll requests the transport accepted
     polls_unsent: int = 0  # poll requests the transport dropped at send time
     polls_pruned: int = 0  # pending slots dropped on mid-round neighbour loss
     invalid_replies: int = 0  # rejected by _validate_reply or _admit_reply
+    invalid_poll_replies: int = 0  # ... of which answered a poll
+    replies_adopted: int = 0  # rule MM-2 reset to the reply
+    replies_inconsistent: int = 0  # rule MM-2 found the reply inconsistent
+    replies_received: int = 0  # held for a batch policy's round close
     requests_refused: int = 0  # inbound requests rejected by _admit_request
+    # requests_answered by request kind
+    poll_answers: int = 0
+    client_answers: int = 0
+    recovery_answers: int = 0
+
+    @property
+    def sync_resets(self) -> int:
+        """Rule MM-2/IM-2 adoptions: the resets recovery did not make."""
+        return self.resets - self.recovery_resets
 
 
 class Stage:
@@ -440,6 +459,8 @@ class TimeServer(SimProcess):
                 setattr(self, export, getattr(stage, export))
         if self.stages:
             self._install_hooks()
+        if self.telemetry.enabled:
+            self.telemetry.bind(self)
 
     # ---------------------------------------------------------------- stages
 
@@ -625,8 +646,15 @@ class TimeServer(SimProcess):
             )
             return
         value, error = self.report()
-        self.stats.requests_answered += 1
-        self.telemetry.answered(request.kind)
+        stats = self.stats
+        stats.requests_answered += 1
+        kind = request.kind
+        if kind is _POLL:
+            stats.poll_answers += 1
+        elif kind is _CLIENT:
+            stats.client_answers += 1
+        else:
+            stats.recovery_answers += 1
         reply = TimeReply(
             request_id=request.request_id,
             server=self.name,
@@ -734,6 +762,7 @@ class TimeServer(SimProcess):
             self.telemetry.poll_sent(round_.tele, self.now, destination, accepted)
             if accepted:
                 round_.outstanding.add(destination)
+                self.stats.polls_sent += 1
             else:
                 # The transport dropped the request at send time (link
                 # down, partitioned, or lost on the request leg): no reply
@@ -820,6 +849,7 @@ class TimeServer(SimProcess):
             rejection, widen = self._admit_reply(reply, rtt_local)
         if rejection is not None:
             self.stats.invalid_replies += 1
+            self.stats.invalid_poll_replies += 1
             self._trace("invalid_reply", server=reply.server, reason=rejection)
             self.telemetry.reply_invalid(round_.tele, self.now, reply.server, rejection)
             if not round_.outstanding and not self._may_revive(round_):
@@ -841,11 +871,13 @@ class TimeServer(SimProcess):
         if self.policy.incremental:
             outcome = self.policy.on_reply(self.local_state(), policy_reply)
             if not outcome.consistent:
+                self.stats.replies_inconsistent += 1
                 self.telemetry.reply_verdict(
                     round_.tele, self.now, reply.server, "inconsistent"
                 )
                 self._note_inconsistency((reply.server,))
             elif outcome.decision is not None:
+                self.stats.replies_adopted += 1
                 self.telemetry.reply_verdict(
                     round_.tele, self.now, reply.server, "adopted"
                 )
@@ -857,6 +889,7 @@ class TimeServer(SimProcess):
                     round_.tele, self.now, reply.server, "rejected"
                 )
         else:
+            self.stats.replies_received += 1
             self.telemetry.reply_verdict(
                 round_.tele, self.now, reply.server, "received"
             )

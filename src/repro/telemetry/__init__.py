@@ -43,8 +43,6 @@ from .instruments import (
 from .registry import (
     NULL_REGISTRY,
     Counter,
-    CounterBackedStats,
-    CounterField,
     Gauge,
     Histogram,
     MetricFamily,
@@ -57,8 +55,6 @@ from .tracing import NULL_TRACER, NullTracer, Span, SpanTracer
 
 __all__ = [
     "Counter",
-    "CounterBackedStats",
-    "CounterField",
     "EngineInstruments",
     "Gauge",
     "Histogram",

@@ -6,7 +6,8 @@ simulated system:
 
 * :class:`ServerTelemetry` — the per-server handle a
   :class:`~repro.service.server.TimeServer` calls from its hot paths
-  (round open, reply, reset, answer).  The disabled singleton
+  (round open, reply, reset) and whose collector reads the server's
+  stats objects at scrape time.  The disabled singleton
   :data:`NULL_SERVER_TELEMETRY` makes every call a no-op, so the server
   code carries no ``if telemetry:`` branches.
 * :class:`EngineInstruments` — the engine event observer (events fired,
@@ -27,6 +28,7 @@ units, ``_total`` for counters); the full catalogue is in
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..simulation.process import SimProcess
@@ -60,12 +62,46 @@ class RoundTelemetry:
         self.legs: Dict[str, Span] = {}
 
 
+#: The count families read from ``ServerStats``: ``(name, help, label,
+#: {label value: field}, lazy)``, label None for one unlabelled child.
+#: A lazy family grows a child at its first count; the others export
+#: every child from zero.
+_SERVER_COUNTERS = (
+    ("repro_sync_rounds_total", "Rule MM-2/IM-2 rounds started", None,
+     {None: "rounds"}, False),
+    ("repro_sync_polls_total", "Poll requests handed to the transport",
+     "outcome", {"sent": "polls_sent", "unsent": "polls_unsent"}, False),
+    ("repro_sync_replies_total", "Poll replies by verdict", "verdict",
+     {"adopted": "replies_adopted", "rejected": "rejects",
+      "inconsistent": "replies_inconsistent", "received": "replies_received",
+      "invalid": "invalid_poll_replies", "pruned": "polls_pruned"}, True),
+    ("repro_clock_resets_total",
+     "Clock resets applied, by kind (sync/recovery)", "kind",
+     {"sync": "sync_resets", "recovery": "recovery_resets"}, False),
+    ("repro_sync_adoptions_total",
+     "Rule MM-2/IM-2 reply adoptions (sync resets)", None,
+     {None: "sync_resets"}, False),
+    ("repro_sync_inconsistencies_total",
+     "Detected inconsistencies (Section 3 trigger)", None,
+     {None: "inconsistencies"}, False),
+    ("repro_requests_answered_total", "Requests answered, by request kind",
+     "kind", {"poll": "poll_answers", "client": "client_answers",
+              "recovery": "recovery_answers"}, True),
+)
+
+
 class ServerTelemetry:
     """The per-server instrument handle.
 
+    The server's and its stages' decisions are counted once, in the
+    stats objects that own them, and :meth:`bind` reads those at scrape
+    time.  The hot methods record what a count cannot hold — spans, the
+    RTT and inflation histograms, the live gauges — plus the recovery
+    families, which no stats object counts yet.
+
     Args:
         registry: A (scoped) registry; pass a
-            :class:`~repro.telemetry.registry.NullRegistry` view to count
+            :class:`~repro.telemetry.registry.NullRegistry` view to record
             nothing.
         tracer: The shared span tracer (``NULL_TRACER`` to trace nothing).
         server: The owning server's name (span source).
@@ -87,21 +123,7 @@ class ServerTelemetry:
         self._tracer_start = tracer.start
         self._tracer_end = tracer.end
         # Children are pre-bound (``.labels()``) so the hot path is a bare
-        # ``Counter.inc`` — no per-call label merging.
-        # -- sync plane -------------------------------------------------
-        self._rounds = registry.counter(
-            "repro_sync_rounds_total", "Rule MM-2/IM-2 rounds started"
-        ).labels()
-        self._polls = registry.counter(
-            "repro_sync_polls_total",
-            "Poll requests handed to the transport",
-            ("outcome",),
-        )
-        self._replies = registry.counter(
-            "repro_sync_replies_total",
-            "Poll replies by verdict",
-            ("verdict",),
-        )
+        # ``observe``/``set`` — no per-call label merging.
         self._rtt = registry.histogram(
             "repro_sync_rtt_local_seconds",
             "Local-clock round-trip times xi^i_j of accepted replies",
@@ -114,33 +136,11 @@ class ServerTelemetry:
             "The (1+delta)*xi round-trip inflation applied to adopted errors",
             quantiles=(),
         ).labels()
-        resets = registry.counter(
-            "repro_clock_resets_total",
-            "Clock resets applied, by kind (sync/recovery)",
-            ("kind",),
-        )
-        self._reset_children = {
-            "sync": resets.labels(kind="sync"),
-            "recovery": resets.labels(kind="recovery"),
-        }
-        self._adoptions = registry.counter(
-            "repro_sync_adoptions_total",
-            "Rule MM-2/IM-2 reply adoptions (sync resets)",
-        ).labels()
-        self._inconsistencies = registry.counter(
-            "repro_sync_inconsistencies_total",
-            "Detected inconsistencies (Section 3 trigger)",
-        ).labels()
         self._error_gauge = registry.gauge(
             "repro_server_error_seconds",
             "Live rule MM-1 error bound E_i",
             ("server",),
         ).labels()
-        self._answers = registry.counter(
-            "repro_requests_answered_total",
-            "Requests answered, by request kind",
-            ("kind",),
-        )
         # -- recovery (Section 3 + crash-recovery subsystem) ------------
         self._recoveries = registry.counter(
             "repro_recovery_attempts_total",
@@ -163,83 +163,63 @@ class ServerTelemetry:
         self._epoch_gauge = registry.gauge(
             "repro_recovery_epoch", "Current merge epoch", ("server",)
         ).labels()
-        # -- byzantine layer --------------------------------------------
-        self._demotions = registry.counter(
+        # [family, labels, stats object, field, child] rows (see bind).
+        self._reads: List[list] = []
+
+    def bind(self, server) -> None:
+        """Export ``server``'s counts, read from its stats at scrape time.
+
+        The sync-plane families read ``server.stats``;
+        ``repro_byzantine_demotions_total`` reads the Byzantine stage's
+        ``demotions`` (it stays at zero on other servers); and every stage
+        export that is a stats dataclass with a ``prefix`` exports each
+        :func:`~repro.telemetry.registry.metric_field` as
+        ``<prefix><field>_total``.  One collector brings the counter
+        children up to date before any registry read; a field that went
+        *down* makes that read raise (``Counter.inc`` refuses negatives).
+        """
+        counter, reads = self.registry.counter, self._reads
+        for name, help_text, label, fields, lazy in _SERVER_COUNTERS:
+            family = counter(name, help_text, (label,) if label else ())
+            for value, field in fields.items():
+                labels = {label: value} if label else {}
+                child = None if lazy else family.labels(**labels)
+                reads.append([family, labels, server.stats, field, child])
+        demotions = counter(
             "repro_byzantine_demotions_total",
             "Neighbours demoted from the poll set as falsetickers",
         ).labels()
-        # Lazily cached children for the remaining label lookups.
-        self._answer_children: Dict[Any, Any] = {}
-        self._verdict_children: Dict[str, Any] = {}
-        self._poll_sent = self._polls.labels(outcome="sent")
-        self._poll_unsent = self._polls.labels(outcome="unsent")
-        # Hot-path batching: the per-round methods bump these plain
-        # attributes and the registered collector folds them into the
-        # counter children right before any registry read, so the hot
-        # path is integer arithmetic instead of method dispatch.
-        self._n_rounds = 0
-        self._n_poll_sent = 0
-        self._n_poll_unsent = 0
-        self._n_verdicts: Dict[str, int] = {}
-        self._n_adoptions = 0
-        self._n_resets: Dict[str, int] = {"sync": 0, "recovery": 0}
-        # id(kind) -> [kind, count] (see answered()).
-        self._n_answers: Dict[int, list] = {}
-        registry.add_collector(self._flush_pending)
-
-    def _flush_pending(self) -> None:
-        """Fold the batched hot-path counts into the counter children."""
-        if self._n_rounds:
-            self._rounds.inc(self._n_rounds)
-            self._n_rounds = 0
-        if self._n_poll_sent:
-            self._poll_sent.inc(self._n_poll_sent)
-            self._n_poll_sent = 0
-        if self._n_poll_unsent:
-            self._poll_unsent.inc(self._n_poll_unsent)
-            self._n_poll_unsent = 0
-        verdicts = self._n_verdicts
-        if verdicts:
-            for verdict, count in verdicts.items():
-                self._verdict(verdict).inc(count)
-            verdicts.clear()
-        if self._n_adoptions:
-            self._adoptions.inc(self._n_adoptions)
-            self._n_adoptions = 0
-        resets = self._n_resets
-        if resets["sync"]:
-            self._reset_children["sync"].inc(resets["sync"])
-            resets["sync"] = 0
-        if resets["recovery"]:
-            self._reset_children["recovery"].inc(resets["recovery"])
-            resets["recovery"] = 0
-        answers = self._n_answers
-        if answers:
-            for kind, count in answers.values():
-                child = self._answer_children.get(kind)
-                if child is None:
-                    child = self._answers.labels(
-                        kind=getattr(kind, "name", str(kind)).lower()
+        byzantine = getattr(server, "byzantine_stats", None)
+        if byzantine is not None:
+            reads.append([None, {}, byzantine, "demotions", demotions])
+        for stage in server.stages:
+            for export in stage.exports:
+                stats = getattr(stage, export)
+                if not (dataclasses.is_dataclass(stats) and hasattr(stats, "prefix")):
+                    continue
+                for field in dataclasses.fields(stats):
+                    family = counter(
+                        f"{stats.prefix}{field.name}_total", field.metadata["help"]
                     )
-                    self._answer_children[kind] = child
-                child.inc(count)
-            answers.clear()
+                    reads.append([family, {}, stats, field.name, family.labels()])
+        self.registry.add_collector(self._collect)
 
-    def stats_registry(self):
-        """The scoped registry for counter-backed stats bundles, or None.
-
-        :class:`~repro.telemetry.registry.CounterBackedStats` refuses null
-        registries (the thin stats views must keep counting when telemetry
-        is off), so disabled handles return None and the bundle builds its
-        own private registry.
-        """
-        return self.registry if self.registry.enabled else None
+    def _collect(self) -> None:
+        """Bring every bound counter child up to its stats field."""
+        for row in self._reads:
+            family, labels, stats, field, child = row
+            value = getattr(stats, field)
+            if child is None:
+                if not value:
+                    continue
+                child = row[4] = family.labels(**labels)
+            if value != child.value:
+                child.inc(value - child.value)
 
     # ------------------------------------------------------------- rounds
 
     def round_started(self, t: float, round_id: int) -> Optional[RoundTelemetry]:
         """A synchronization round opened; returns the round context."""
-        self._n_rounds += 1
         if not self._spans_on:
             return None
         span = self._tracer_start(
@@ -255,10 +235,6 @@ class ServerTelemetry:
         accepted: bool,
     ) -> None:
         """One poll request left (or failed to leave) for ``neighbour``."""
-        if accepted:
-            self._n_poll_sent += 1
-        else:
-            self._n_poll_unsent += 1
         if ctx is None:
             return
         leg = self._tracer_start(
@@ -277,8 +253,6 @@ class ServerTelemetry:
         reason: str,
     ) -> None:
         """A reply was rejected by validation before the policy saw it."""
-        verdicts = self._n_verdicts
-        verdicts["invalid"] = verdicts.get("invalid", 0) + 1
         if ctx is not None:
             self._tracer_end(
                 t, ctx.legs.pop(neighbour, None), status="invalid", reason=reason
@@ -310,19 +284,10 @@ class ServerTelemetry:
     ) -> None:
         """The policy's per-reply decision (rule MM-2's accept/reject, or
         ``received`` for batch policies that decide at round close)."""
-        verdicts = self._n_verdicts
-        verdicts[verdict] = verdicts.get(verdict, 0) + 1
         if ctx is not None:
             self._tracer_end(
                 t, ctx.legs.pop(neighbour, None), status=verdict, **attrs
             )
-
-    def _verdict(self, verdict: str):
-        child = self._verdict_children.get(verdict)
-        if child is None:
-            child = self._replies.labels(verdict=verdict)
-            self._verdict_children[verdict] = child
-        return child
 
     def round_closed(
         self,
@@ -340,7 +305,7 @@ class ServerTelemetry:
             ctx.legs.clear()
         self._tracer_end(t, ctx.span, status=status, **attrs)
 
-    # ------------------------------------------------- resets and answers
+    # ------------------------------------------------------------- resets
 
     def reset(
         self,
@@ -351,10 +316,6 @@ class ServerTelemetry:
         ctx: Optional[RoundTelemetry] = None,
     ) -> None:
         """A clock reset was applied (rule MM-2/IM-2 adoption or recovery)."""
-        resets = self._n_resets
-        resets[kind if kind in resets else "sync"] += 1
-        if kind == "sync":
-            self._n_adoptions += 1
         self._error_gauge.set(new_error)
         if self._spans_on:
             self.tracer.event(
@@ -369,25 +330,12 @@ class ServerTelemetry:
 
     def inconsistency(self, t: float, conflicting: Tuple[str, ...]) -> None:
         """Rule MM-2/IM-2 flagged an inconsistent neighbour set."""
-        self._inconsistencies.inc()
         self.tracer.event(
             t,
             "inconsistency",
             self.server,
             conflicting=",".join(conflicting),
         )
-
-    def answered(self, kind: Any) -> None:
-        """A request was answered (hot path: a dict bump, folded later).
-
-        Keyed by ``id(kind)`` — request kinds are enum singletons and
-        hashing an Enum goes through a Python-level ``__hash__``, which
-        is most of this method's cost at C-level dict speed.
-        """
-        entry = self._n_answers.get(id(kind))
-        if entry is None:
-            self._n_answers[id(kind)] = entry = [kind, 0]
-        entry[1] += 1
 
     def error_bound(self, value: float) -> None:
         """Update the live E_i gauge."""
@@ -424,7 +372,6 @@ class ServerTelemetry:
 
     def demotion(self, t: float, neighbour: str) -> None:
         """A neighbour was demoted from the poll set as a falseticker."""
-        self._demotions.inc()
         self.tracer.event(t, "demotion", self.server, neighbour=neighbour)
 
 
@@ -457,9 +404,6 @@ class _NullServerTelemetry(ServerTelemetry):
         pass
 
     def inconsistency(self, t, conflicting):
-        pass
-
-    def answered(self, kind):
         pass
 
     def error_bound(self, value):

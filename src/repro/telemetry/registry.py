@@ -35,13 +35,12 @@ Design notes
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "CounterField",
-    "CounterBackedStats",
     "Gauge",
     "Histogram",
     "MetricFamily",
@@ -50,9 +49,21 @@ __all__ = [
     "NULL_REGISTRY",
     "P2Quantile",
     "default_buckets",
+    "metric_field",
 ]
 
 LabelValues = Tuple[str, ...]
+
+
+def metric_field(help_text: str):
+    """A ``@dataclass`` stats counter the telemetry plane exports.
+
+    The field is a plain ``int`` starting at 0; its class's ``prefix``
+    names the counter family ``<prefix><field>_total``, which the
+    server's telemetry handle reads at scrape time (see
+    :meth:`~repro.telemetry.instruments.ServerTelemetry.bind`).
+    """
+    return dataclasses.field(default=0, metadata={"help": help_text})
 
 
 def default_buckets() -> Tuple[float, ...]:
@@ -384,11 +395,11 @@ class MetricsRegistry:
     def add_collector(self, fn) -> None:
         """Register a flush hook run before any read.
 
-        Hot instrumentation sites (the per-event engine observer, the
-        per-round server handles) accumulate into plain attributes and
-        register a collector that folds the pending values into their
-        counter children; readers (:meth:`families`, :meth:`get`,
-        :meth:`value`) trigger the folds, so every read still sees
+        Hot instrumentation sites (the per-event engine observer) batch
+        into plain attributes, and each server's handle reads its stats
+        objects; both register a collector that brings their counter
+        children up to date.  Readers (:meth:`families`, :meth:`get`,
+        :meth:`value`) run the collectors first, so every read sees
         exactly the state eager increments would have produced.
         """
         self._collectors.append(fn)
@@ -659,83 +670,3 @@ class NullRegistry:
 
 
 NULL_REGISTRY = NullRegistry()
-
-
-class CounterField:
-    """A stats attribute backed by a registry counter.
-
-    Lets the pre-telemetry stats objects (``HardeningStats``,
-    ``LoadStats``) keep their exact public surface — plain integer
-    attribute reads and ``stats.field += 1`` writes — while the values
-    live in (and export from) the metrics registry.  Assigning a smaller
-    value than the current count raises: these are counters.
-    """
-
-    __slots__ = ("name", "help")
-
-    def __init__(self, help_text: str = "") -> None:
-        self.help = help_text
-        self.name = ""  # filled by __set_name__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return int(instance._counters[self.name].value)
-
-    def __set__(self, instance, value: int) -> None:
-        counter = instance._counters[self.name]
-        delta = value - counter.value
-        if delta < 0:
-            raise ValueError(
-                f"{type(instance).__name__}.{self.name} is a counter; "
-                f"cannot go from {counter.value:g} to {value}"
-            )
-        if delta:
-            counter.inc(delta)
-
-
-class CounterBackedStats:
-    """Base for stats bundles whose fields are :class:`CounterField`\\ s.
-
-    Subclasses declare fields as class attributes::
-
-        class LoadStats(CounterBackedStats):
-            prefix = "repro_load_"
-            busy_replies = CounterField("BUSY replies sent")
-
-    Constructed with no arguments the bundle owns a private real registry
-    (identical observable behaviour to the old ``@dataclass`` counters);
-    constructed with a scoped service registry its counts also appear in
-    the service-wide export.  A :class:`NullRegistry` is refused — the
-    thin views must keep counting even when exporting is off.
-    """
-
-    prefix = "repro_"
-
-    def __init__(self, registry=None) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        if not registry.enabled:
-            raise ValueError(
-                f"{type(self).__name__} needs a recording registry; "
-                "pass None for a private one"
-            )
-        self._counters = {}
-        for klass in reversed(type(self).__mro__):
-            for name, attr in vars(klass).items():
-                if isinstance(attr, CounterField):
-                    family = registry.counter(
-                        f"{self.prefix}{name}_total", attr.help
-                    )
-                    self._counters[name] = family.labels()
-
-    def fields(self) -> Dict[str, int]:
-        """All counter fields as a plain dict (debugging/tests)."""
-        return {name: int(c.value) for name, c in sorted(self._counters.items())}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v}" for k, v in self.fields().items())
-        return f"{type(self).__name__}({body})"

@@ -14,6 +14,7 @@
   ``service/server.py`` and ``service/hardening.py``; a class with a
   base from outside the repo is skipped (its attributes are unknown).
 * One reading of the fault DSL's message events.
+* One counter idiom: every ``*Stats`` class is a ``@dataclass``.
 """
 
 from __future__ import annotations
@@ -478,3 +479,48 @@ def test_the_reading_checks_catch_what_they_claim_to():
         "line 4: type() compared with ['DelayAttack']",
     ]
     assert _tap_chaining_loops(source) == [6]
+
+
+# ---------------------------------------------------- one counter idiom
+
+
+def non_dataclass_stats(source: str) -> list:
+    """Classes named ``*Stats`` that are not ``@dataclass``: a count is a
+    plain int field, never a descriptor over some other store."""
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith("Stats")):
+            continue
+        decorators = [
+            _base_name(d.func if isinstance(d, ast.Call) else d)
+            for d in node.decorator_list
+        ]
+        if "dataclass" not in decorators:
+            problems.append(f"line {node.lineno}: {node.name} is not a @dataclass")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "path", LINTED, ids=[str(path.relative_to(SRC)) for path in LINTED]
+)
+def test_every_stats_class_is_a_dataclass(path):
+    problems = non_dataclass_stats(path.read_text(encoding="utf-8"))
+    where = path.relative_to(SRC.parent.parent)
+    assert not problems, f"{where}:\n" + "\n".join(problems)
+
+
+def test_the_stats_check_catches_what_it_claims_to():
+    source = (
+        "class Tally:\n"
+        "    def __get__(self, instance, owner=None):\n"
+        "        return instance._counters[self.name].value\n"
+        "class LoadStats:\n"
+        "    fresh_replies = Tally()\n"
+        "@dataclass\n"
+        "class QueueStats:\n"
+        "    depth: int = 0\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class LinkStats:\n"
+        "    sent: int = 0\n"
+    )
+    assert non_dataclass_stats(source) == ["line 4: LoadStats is not a @dataclass"]

@@ -8,13 +8,25 @@ asynchronism gauge must respect the Theorem 7 bound in a fault-free run.
 
 from __future__ import annotations
 
+import dataclasses
+
+import networkx as nx
 import pytest
 
+from repro.core.im import IMPolicy
+from repro.core.mm import MMPolicy
 from repro.experiments import chaos_soak, figure1
-from repro.network.topology import full_mesh
-from repro.service.builder import ServerSpec, build_service
-from repro.service.hardening import HardeningStats
+from repro.holdover import HoldoverConfig
+from repro.holdover.server import HoldoverStats
+from repro.load.capacity import CapacityConfig
 from repro.load.server import LoadStats
+from repro.network.delay import ConstantDelay
+from repro.network.topology import full_mesh
+from repro.security import Keyring, SecurityConfig
+from repro.security.server import SecurityStats
+from repro.service.builder import ServerSpec, build_service
+from repro.service.client import QueryStrategy
+from repro.service.hardening import HardeningConfig, HardeningStats
 from repro.simulation.engine import SimulationEngine
 from repro.telemetry import (
     NULL_SERVER_TELEMETRY,
@@ -39,24 +51,209 @@ def instrumented():
     return figure1.run_instrumented(times=SHORT)
 
 
-def test_round_counters_match_server_stats(instrumented):
-    _, service, telemetry = instrumented
+# ------------------------------------------ counts read from stats objects
+
+#: ``(family, labels, server attribute holding the stats, field)``: every
+#: counter family the server handle reads from a stats object.
+STATS_COUNTERS = [
+    ("repro_sync_rounds_total", {}, "stats", "rounds"),
+    ("repro_sync_polls_total", {"outcome": "sent"}, "stats", "polls_sent"),
+    ("repro_sync_polls_total", {"outcome": "unsent"}, "stats", "polls_unsent"),
+    *[
+        ("repro_sync_replies_total", {"verdict": verdict}, "stats", field)
+        for verdict, field in (
+            ("adopted", "replies_adopted"),
+            ("rejected", "rejects"),
+            ("inconsistent", "replies_inconsistent"),
+            ("received", "replies_received"),
+            ("invalid", "invalid_poll_replies"),
+            ("pruned", "polls_pruned"),
+        )
+    ],
+    ("repro_clock_resets_total", {"kind": "sync"}, "stats", "sync_resets"),
+    ("repro_clock_resets_total", {"kind": "recovery"}, "stats", "recovery_resets"),
+    ("repro_sync_adoptions_total", {}, "stats", "sync_resets"),
+    ("repro_sync_inconsistencies_total", {}, "stats", "inconsistencies"),
+    *[
+        ("repro_requests_answered_total", {"kind": kind}, "stats", f"{kind}_answers")
+        for kind in ("poll", "client", "recovery")
+    ],
+    ("repro_byzantine_demotions_total", {}, "byzantine_stats", "demotions"),
+    *[
+        (f"{cls.prefix}{field.name}_total", {}, attr, field.name)
+        for cls, attr in (
+            (HardeningStats, "hardening_stats"),
+            (SecurityStats, "security_stats"),
+            (HoldoverStats, "holdover_stats"),
+            (LoadStats, "load_stats"),
+        )
+        for field in dataclasses.fields(cls)
+    ],
+]
+
+
+@pytest.fixture(scope="module")
+def every_stage():
+    """Five servers, all hardened, authenticated and load-aware, holdover
+    on one, Byzantine tolerance on two, under MM and IM over lossy links,
+    with a liar, a server that must adopt, and a client hub pushing the
+    load stage into degraded mode; telemetry on."""
+    telemetry = ServiceTelemetry(spans=False)
+    graph = full_mesh(5)
+    graph.add_edges_from(("C", f"S{k}") for k in range(1, 6))
+    specs = [
+        ServerSpec("S1", delta=1e-5, byzantine_tolerant=True),
+        ServerSpec("S2", delta=1e-5, holdover=True),
+        ServerSpec("S3", delta=1e-5, initial_error=5.0),
+        ServerSpec("S4", delta=1e-5, skew=-2e-5, byzantine_tolerant=True),
+        ServerSpec("S5", delta=1e-6, skew=5e-3),
+    ]
+    service = build_service(
+        graph,
+        specs,
+        policy_factory=lambda name: MMPolicy() if name in ("S3", "S5") else IMPolicy(),
+        tau=30.0,
+        seed=4,
+        loss_probability=0.02,
+        hardening=HardeningConfig(),
+        security=SecurityConfig(),
+        capacity=CapacityConfig(service_time=0.15, degraded_time=0.002, queue_limit=8),
+        holdover=HoldoverConfig(no_source_window=90.0),
+        telemetry=telemetry,
+    )
+    client = service.add_client("C")
+    client.start()
+
+    def ask() -> None:
+        client.ask(sorted(service.servers), strategy=QueryStrategy.INTERSECT)
+        client.call_after(0.1, ask)
+
+    service.engine.schedule_after(0.5, ask)
+    service.run_until(300.0)
+    return service, telemetry
+
+
+def test_every_stage_service_counts_something(every_stage):
+    service, _ = every_stage
+    servers = service.servers.values()
+    for attr in {attr for _, _, attr, _ in STATS_COUNTERS}:
+        assert any(hasattr(server, attr) for server in servers), attr
+    moved = {
+        (family, tuple(labels.items()))
+        for family, labels, attr, field in STATS_COUNTERS
+        if any(getattr(getattr(s, attr, None), field, 0) for s in servers)
+    }
+    # Not 0 == 0 throughout.  The MAC/replay/delay-guard and holdover
+    # families that stay at zero here move in the pinned telemetry
+    # bundles (tests/test_telemetry_goldens.py).
+    assert len(moved) >= 24
+
+
+@pytest.mark.parametrize(
+    "family, labels, attr, field",
+    STATS_COUNTERS,
+    ids=[
+        "-".join([family, *labels.values()]) for family, labels, _, _ in STATS_COUNTERS
+    ],
+)
+def test_round_counters_match_server_stats(every_stage, family, labels, attr, field):
+    service, telemetry = every_stage
     reg = telemetry.registry
     for name, server in service.servers.items():
-        assert (
-            reg.value("repro_sync_rounds_total", server=name)
-            == server.stats.rounds
+        stats = getattr(server, attr, None)
+        expected = 0 if stats is None else getattr(stats, field)
+        assert reg.value(family, server=name, **labels) == expected, name
+
+
+def test_answered_kinds_sum_to_requests_answered(every_stage):
+    service, telemetry = every_stage
+    family = telemetry.registry.get("repro_requests_answered_total")
+    for name, server in service.servers.items():
+        total = sum(
+            child.value
+            for label_values, child in family.samples()
+            if name in label_values
         )
-        assert (
-            reg.value("repro_requests_answered_total", server=name, kind="poll")
-            == server.stats.requests_answered
-        )
-        assert (
-            reg.value("repro_clock_resets_total", server=name, kind="sync")
-            + reg.value("repro_clock_resets_total", server=name, kind="recovery")
-            == server.stats.resets
-        )
-        assert server.stats.rounds > 0  # the run is not trivially empty
+        assert total == server.stats.requests_answered > 0
+
+
+@pytest.mark.parametrize(
+    "attr, field", [("stats", "rounds"), ("hardening_stats", "retries_sent")]
+)
+def test_a_stats_field_going_down_raises_at_the_next_scrape(attr, field):
+    telemetry = ServiceTelemetry(spans=False)
+    service = build_service(
+        full_mesh(3),
+        [ServerSpec(f"S{k + 1}", delta=1e-5) for k in range(3)],
+        policy=MMPolicy(),
+        tau=10.0,
+        seed=1,
+        hardening=HardeningConfig(),
+        telemetry=telemetry,
+    )
+    service.run_until(60.0)
+    stats = getattr(service.servers["S1"], attr)
+    setattr(stats, field, getattr(stats, field) + 1)
+    telemetry.registry.collect()
+    setattr(stats, field, getattr(stats, field) - 1)
+    with pytest.raises(ValueError, match="counters only go up"):
+        telemetry.registry.collect()
+
+
+def test_degraded_answers_count_under_client():
+    """LoadStage's degraded replies are answers: the per-kind family sums
+    to ``stats.requests_answered`` even while the server degrades."""
+    telemetry = ServiceTelemetry(spans=False)
+    graph = nx.Graph([("C", "S")])
+    service = build_service(
+        graph,
+        [ServerSpec("S", delta=1e-4, initial_error=0.01, polls=False)],
+        policy=None,
+        tau=60.0,
+        seed=3,
+        lan_delay=ConstantDelay(0.001),
+        capacity=CapacityConfig(service_time=0.01, degraded_time=0.002),
+        telemetry=telemetry,
+    )
+    client = service.add_client("C")
+    client.start()
+    server = service.servers["S"]
+    service.run_until(10.0)
+    server.detector.overloaded = True
+    server.detector.ewma = 1.0  # stays above the exit threshold
+    for _ in range(5):
+        client.ask(["S"])
+    service.run_until(11.0)
+    assert server.load_stats.degraded_replies == 5
+    answered = telemetry.registry.get("repro_requests_answered_total")
+    assert sum(child.value for _, child in answered.samples()) == (
+        server.stats.requests_answered
+    ) == 5
+
+
+def test_telemetry_off_builds_no_registry(monkeypatch):
+    """The authenticated mesh (hardening + security stats on every
+    server) builds no metrics registry when telemetry is off."""
+    built = []
+    init = MetricsRegistry.__init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(MetricsRegistry, "__init__", counting_init)
+    service = build_service(
+        full_mesh(8),
+        [ServerSpec(f"S{k + 1}", delta=1e-5) for k in range(8)],
+        policy=MMPolicy(),
+        tau=10.0,
+        seed=0,
+        hardening=HardeningConfig(),
+        security=SecurityConfig(keyring=Keyring.from_secret("bench-0")),
+    )
+    for server in service.servers.values():
+        assert server.hardening_stats is not None and server.security_stats is not None
+    assert built == []
 
 
 def test_reset_counters_match_trace_ground_truth(instrumented):
@@ -219,7 +416,7 @@ def test_hardening_stats_accessors_unchanged():
     assert stats.retries_sent == 1
     assert stats.quarantines == 2
     assert isinstance(stats.retries_sent, int)
-    assert set(stats.fields()) >= {
+    assert set(dataclasses.asdict(stats)) >= {
         "retries_sent",
         "recovery_retries",
         "quarantines",
@@ -233,7 +430,7 @@ def test_load_stats_accessors_unchanged():
     stats.busy_replies += 1
     assert stats.fresh_replies == 3
     assert stats.busy_replies == 1
-    assert set(stats.fields()) >= {
+    assert set(dataclasses.asdict(stats)) >= {
         "fresh_replies",
         "degraded_replies",
         "busy_replies",
@@ -241,11 +438,12 @@ def test_load_stats_accessors_unchanged():
     }
 
 
-def test_migrated_stats_export_through_shared_registry():
-    reg = MetricsRegistry()
-    stats = HardeningStats(reg.scoped(server="S1"))
-    stats.retries_sent += 5
-    assert reg.value("repro_hardening_retries_sent_total", server="S1") == 5.0
+def test_migrated_stats_export_through_shared_registry(every_stage):
+    service, telemetry = every_stage
+    stats = service.servers["S1"].hardening_stats
+    assert telemetry.registry.value(
+        "repro_hardening_retries_sent_total", server="S1"
+    ) == stats.retries_sent > 0
 
 
 # ------------------------------------------------- chaos soak (satellite)

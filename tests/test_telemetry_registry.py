@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: families, labels, scoping, stats bridge."""
+"""Tests for the metrics registry: families, labels, scoping."""
 
 from __future__ import annotations
 
@@ -7,10 +7,7 @@ import math
 import pytest
 
 from repro.telemetry.registry import (
-    NULL_REGISTRY,
     Counter,
-    CounterBackedStats,
-    CounterField,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -183,45 +180,3 @@ def test_null_registry_is_inert():
     assert null.families() == []
     assert null.value("whatever") == 0.0
     assert null.scoped(server="S1") is not None
-
-
-# ------------------------------------------------------------ stats bridge
-
-
-class _Stats(CounterBackedStats):
-    prefix = "repro_test_"
-
-    hits = CounterField("hits seen")
-    misses = CounterField("misses seen")
-
-
-def test_counter_backed_stats_reads_and_writes():
-    stats = _Stats()
-    assert stats.hits == 0
-    stats.hits += 1
-    stats.hits += 2
-    stats.misses += 1
-    assert stats.hits == 3
-    assert stats.misses == 1
-    assert set(stats.fields()) == {"hits", "misses"}
-
-
-def test_counter_backed_stats_exports_to_shared_registry():
-    reg = MetricsRegistry()
-    stats = _Stats(reg.scoped(server="S1"))
-    stats.hits += 4
-    assert reg.value("repro_test_hits_total", server="S1") == 4.0
-
-
-def test_counter_backed_stats_rejects_decrease():
-    stats = _Stats()
-    stats.hits += 1
-    with pytest.raises(ValueError):
-        stats.hits = 0
-
-
-def test_counter_backed_stats_refuses_null_registry():
-    # Stats must keep counting even when telemetry is off: a NullRegistry
-    # would silently zero them, so the constructor refuses it.
-    with pytest.raises(ValueError):
-        _Stats(NULL_REGISTRY)
