@@ -93,7 +93,7 @@ class Link:
             (link down/partitioned) or lost.
         """
         self.stats.sent += 1
-        if not self.available:
+        if not self.up or self.partitioned:
             self.stats.blocked += 1
             return None
         # Independent native-loss and fault-burst coin flips so that a

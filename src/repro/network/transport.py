@@ -21,6 +21,7 @@ schedules deliveries.  It exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -263,6 +264,9 @@ class Network(Transport):
         self._long_haul = long_haul
         self._loss_probability = float(loss_probability)
         self._links: Dict[Tuple[str, str], Link] = {}
+        # Per ordered pair, what send() derives from the names alone:
+        # (rng stream, forward flag, link key, event label).
+        self._routes: Dict[Tuple[str, str], Tuple[Any, bool, Tuple[str, str], str]] = {}
         self._xi_cache: Optional[Tuple[int, float]] = None
         self.stats = NetworkStats()
         for a, b, data in graph.edges(data=True):
@@ -329,38 +333,44 @@ class Network(Transport):
         are otherwise dropped — the paper's servers only talk to
         neighbours, except during other-network recovery.
         """
-        self.stats.sent += 1
-        if destination not in self._processes:
-            self.stats.dropped += 1
+        stats = self.stats
+        stats.sent += 1
+        target = self._processes.get(destination)
+        if target is None:
+            stats.dropped += 1
             return False
-        rng = self._rng.stream(f"net/{source}->{destination}")
-        if self.graph.has_edge(source, destination):
+        route = self._routes.get((source, destination))
+        if route is None:
             # "Forward" is the canonical key direction (lexicographically
             # smaller endpoint first); reverse traffic may use a distinct
-            # delay model on asymmetric links.
-            forward = self._key(source, destination)[0] == source
-            delay = self.link(source, destination).try_send(rng, forward=forward)
+            # delay model on asymmetric links.  The stream is the
+            # registry's own object for its name, so holding it draws
+            # exactly what a lookup per send would.
+            key = self._key(source, destination)
+            label = f"{source}->{destination}"
+            route = (self._rng.stream(f"net/{label}"), key[0] == source, key, label)
+            self._routes[(source, destination)] = route
+        rng, forward, key, label = route
+        if self.graph.has_edge(source, destination):
+            delay = self._links[key].try_send(rng, forward=forward)
         elif self._long_haul is not None and source != destination:
             delay = self._long_haul.sample(rng)
         else:
             delay = None
         if delay is None:
-            self.stats.dropped += 1
+            stats.dropped += 1
             return False
         deliveries: List[Tuple[Any, float]] = [(message, delay)]
         if self._taps:
             deliveries, acted = run_taps(self._taps, source, destination, message, delay)
-            self.stats.tapped += acted
+            stats.tapped += acted
             if not deliveries:
-                self.stats.dropped += 1
+                stats.dropped += 1
                 return False
-        target = self._processes[destination]
         sender = self._processes.get(source)
         for msg, dly in deliveries:
             self.engine.schedule_after(
-                dly,
-                lambda m=msg: self._deliver(target, m, sender),
-                label=f"{source}->{destination}",
+                dly, partial(self._deliver, target, msg, sender), label
             )
         return True
 

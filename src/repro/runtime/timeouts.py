@@ -1,12 +1,12 @@
 """The wall-clock deadline plane.
 
 :class:`TimeoutManager` is the live counterpart of the simulation
-engine's event heap: the same :class:`~repro.simulation.events.Event`
-objects (so cancellation semantics are identical), ordered by
-``(time, seq)``, but *fired by the wall clock* — deadlines are armed
-against ``time.monotonic()`` and an asyncio wait wakes the pump either
-when the nearest deadline arrives or when a new, earlier deadline is
-scheduled mid-sleep.
+engine's event heap: the same ``(time, seq, event)`` heap entries and
+:class:`~repro.simulation.events.Event` handles (so ordering and lazy
+cancellation are identical), but *fired by the wall clock* — deadlines
+are armed against ``time.monotonic()`` and an asyncio wait wakes the
+pump either when the nearest deadline arrives or when a new, earlier
+deadline is scheduled mid-sleep.
 
 Every per-neighbour retry, adaptive EWMA timeout, and round deadline the
 hardened server computes lands here (via
@@ -17,10 +17,11 @@ policy layer reasons about are measured against real round trips.
 from __future__ import annotations
 
 import asyncio
-import heapq
-from typing import Callable, List, Optional
+import itertools
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
-from ..simulation.events import Event, EventCallback, EventSequencer
+from ..simulation.events import Event, EventCallback
 
 __all__ = ["TimeoutManager"]
 
@@ -36,8 +37,8 @@ class TimeoutManager:
 
     def __init__(self, time_source: Callable[[], float]) -> None:
         self._time = time_source
-        self._heap: List[Event] = []
-        self._sequencer = EventSequencer()
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._next_seq = itertools.count().__next__
         # Created lazily inside the running loop (asyncio primitives are
         # loop-bound); before the pump runs, scheduling just heaps.
         self._wakeup: Optional[asyncio.Event] = None
@@ -53,8 +54,10 @@ class TimeoutManager:
         Returns the :class:`~repro.simulation.events.Event`, which the
         caller may ``cancel()`` exactly as in the simulator.
         """
-        event = Event(float(when), self._sequencer.next(), callback, label)
-        heapq.heappush(self._heap, event)
+        when = float(when)
+        seq = self._next_seq()
+        event = Event(when, seq, callback, label)
+        heappush(self._heap, (when, seq, event))
         self._notify()
         return event
 
@@ -68,7 +71,7 @@ class TimeoutManager:
     @property
     def pending(self) -> int:
         """Active (non-cancelled) deadlines still armed."""
-        return sum(1 for event in self._heap if event.active)
+        return sum(1 for _when, _seq, event in self._heap if not event.cancelled)
 
     @property
     def heap_depth(self) -> int:
@@ -81,9 +84,10 @@ class TimeoutManager:
         Cancelled heap heads are dropped on the way (lazy cancellation,
         same as the simulator's engine).
         """
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     # ---------------------------------------------------------------- firing
 
@@ -98,20 +102,21 @@ class TimeoutManager:
         Returns:
             How many callbacks ran.
         """
+        heap = self._heap
         count = 0
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
+        while heap:
+            when, _seq, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
                 continue
-            if head.time > self._time():
+            if when > self._time():
                 break
-            heapq.heappop(self._heap)
-            head.callback()
+            heappop(heap)
+            event.callback()
             self.fired += 1
             count += 1
             if observer is not None:
-                observer(head)
+                observer(event)
         return count
 
     async def sleep_until_due(self, horizon: Optional[float] = None) -> None:

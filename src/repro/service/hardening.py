@@ -39,7 +39,6 @@ exactly like a plain one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -47,7 +46,7 @@ import numpy as np
 
 from ..telemetry.registry import metric_field
 from .messages import RequestKind, TimeReply, TimeRequest
-from .server import Stage, TimeServer, _PollRound
+from .server import Stage, TimeServer, _PollRound, garbage_rejection
 
 
 @dataclass(frozen=True)
@@ -222,12 +221,9 @@ def reply_sanity_rejection(
     Returns None to accept or a short reason string.  Pure function of
     the reply and the local view.
     """
-    if not math.isfinite(reply.clock_value):
-        return "non-finite clock value"
-    if not math.isfinite(reply.error):
-        return "non-finite error"
-    if reply.error < 0.0:
-        return "negative error"
+    reason = garbage_rejection(reply)
+    if reason is not None:
+        return reason
     if reply.error > max_error:
         return "implausibly large error"
     # Plausibility: the remote reading must be explainable by the two
@@ -356,11 +352,7 @@ class PeerHealth(Stage):
         )
         if reason is None:
             reason = self._growth_rejection(reply)
-        if (
-            math.isfinite(reply.clock_value)
-            and math.isfinite(reply.error)
-            and reply.error >= 0.0
-        ):
+        if garbage_rejection(reply) is None:
             self._reports[reply.server] = (reply.clock_value, reply.error)
         if reason is not None:
             server._peer_rejected(reply.server)

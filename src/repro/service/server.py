@@ -39,6 +39,7 @@ capabilities compose by being in the list.
 from __future__ import annotations
 
 import functools
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional, Sequence
@@ -123,6 +124,22 @@ class ServerStats:
     def sync_resets(self) -> int:
         """Rule MM-2/IM-2 adoptions: the resets recovery did not make."""
         return self.resets - self.recovery_resets
+
+
+def garbage_rejection(reply: TimeReply) -> Optional[str]:
+    """Why ``⟨C_j, E_j⟩`` is no interval at all, or None.
+
+    A non-finite clock value, or a non-finite or negative error, cannot
+    become a :class:`~repro.core.intervals.TimeInterval`; every server
+    refuses such a reply, whatever its stages.
+    """
+    if not math.isfinite(reply.clock_value):
+        return "non-finite clock value"
+    if not math.isfinite(reply.error):
+        return "non-finite error"
+    if reply.error < 0.0:
+        return "negative error"
+    return None
 
 
 class Stage:
@@ -903,8 +920,9 @@ class TimeServer(SimProcess):
         """Hook: sanity-check a poll/recovery reply before it is used.
 
         Return None to accept or a short reason string to reject.  The
-        base server refuses only BUSY replies (the paper's servers trust
-        each other); the peer-health book
+        base server refuses only BUSY replies and garbage (the paper's
+        servers trust each other, but no interval has a NaN edge or a
+        negative width); the peer-health book
         (:class:`~repro.service.hardening.PeerHealth`) judges every
         reply's ``⟨C_j, E_j⟩`` here first, once.
         """
@@ -912,7 +930,7 @@ class TimeServer(SimProcess):
             # A BUSY reply carries no time at all; it must never reach a
             # synchronization policy or become a recovery reset.
             return "busy reply"
-        return None
+        return garbage_rejection(reply)
 
     def _complete_round(self, round_: _PollRound) -> None:
         if not round_.closed:

@@ -7,7 +7,7 @@ simulated actors (:class:`SimProcess`), reproducible named random streams
 """
 
 from .engine import PeriodicTask, SchedulingError, SimulationEngine
-from .events import Event, EventSequencer
+from .events import Event
 from .process import SimProcess
 from .rng import RngRegistry
 from .scheduler import Scheduler
@@ -15,7 +15,6 @@ from .trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
-    "EventSequencer",
     "PeriodicTask",
     "RngRegistry",
     "Scheduler",

@@ -10,10 +10,17 @@ Design notes
 * Real time is a ``float`` number of seconds.  The paper ignores terms of
   order ``δ²`` and our δ values are ~1e-6..1e-2, so double precision is far
   more than adequate for the horizons simulated here (hours to weeks).
-* Determinism: events at equal times fire in scheduling order (see
-  :mod:`repro.simulation.events`), and all randomness flows through named
-  :class:`~repro.simulation.rng.RngRegistry` streams.  Two runs with the same
-  seed produce identical traces.
+* Determinism: events at equal times fire in scheduling order, and all
+  randomness flows through named :class:`~repro.simulation.rng.RngRegistry`
+  streams.  Two runs with the same seed produce identical traces.
+* Ordering lives in the heap entries: the heap holds ``(time, seq, event)``
+  tuples, ``seq`` drawn from one counter, so ``heapq`` orders them with
+  C-level tuple comparison and no Python call (see
+  :mod:`repro.simulation.events`).  Cancellation is lazy — a cancelled
+  entry stays in the heap until it reaches the head, so :attr:`heap_depth`
+  counts it and :attr:`pending_events` does not.
+* :meth:`step` is the only place an event fires (:meth:`run` calls it once
+  per event) and :meth:`schedule_at` the only place one is made.
 * The engine never advances time backwards.  Scheduling an event in the past
   raises :class:`SchedulingError` — this catches a whole class of sign bugs
   in delay models.
@@ -21,10 +28,11 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+import itertools
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
-from .events import Event, EventCallback, EventSequencer
+from .events import Event, EventCallback
 
 
 class SchedulingError(ValueError):
@@ -45,20 +53,16 @@ class SimulationEngine:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._heap: list[Event] = []
-        self._sequencer = EventSequencer()
-        self._running = False
+        #: Current real (perfect-clock) time in seconds.  A plain attribute:
+        #: every clock read and every schedule reads it.
+        self.now = float(start_time)
+        self._heap: list[tuple[float, int, Event]] = []
+        self._next_seq = itertools.count().__next__
         self._stopped = False
         self._events_processed = 0
         self._observer: Optional[Callable[["SimulationEngine", Event], None]] = None
 
     # ------------------------------------------------------------------ time
-
-    @property
-    def now(self) -> float:
-        """Current real (perfect-clock) time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -67,8 +71,8 @@ class SimulationEngine:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the heap, including cancelled ones."""
-        return sum(1 for event in self._heap if event.active)
+        """Number of events that will still fire (cancelled ones excluded)."""
+        return sum(1 for _time, _seq, event in self._heap if not event.cancelled)
 
     @property
     def heap_depth(self) -> int:
@@ -104,13 +108,15 @@ class SimulationEngine:
         Raises:
             SchedulingError: If ``time`` precedes the current time.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
                 f"cannot schedule event at t={time} before current time "
-                f"t={self._now}"
+                f"t={self.now}"
             )
-        event = Event(float(time), self._sequencer.next(), callback, label)
-        heapq.heappush(self._heap, event)
+        time = float(time)
+        seq = self._next_seq()
+        event = Event(time, seq, callback, label)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_after(
@@ -123,7 +129,7 @@ class SimulationEngine:
         """
         if delay < 0:
             raise SchedulingError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, label)
+        return self.schedule_at(self.now + delay, callback, label)
 
     def schedule_periodic(
         self,
@@ -152,7 +158,7 @@ class SimulationEngine:
         if period <= 0:
             raise SchedulingError(f"period must be positive, got {period}")
         task = PeriodicTask(self, period, callback, label=label, jitter=jitter)
-        start = self._now + period if first_at is None else first_at
+        start = self.now + period if first_at is None else first_at
         task.start(start)
         return task
 
@@ -164,11 +170,12 @@ class SimulationEngine:
         Returns:
             True if an event fired, False if the heap held no active events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _seq, event = heappop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self.now = time
             event.callback()
             self._events_processed += 1
             if self._observer is not None:
@@ -190,37 +197,30 @@ class SimulationEngine:
         the current state.  :meth:`stop` requests an early exit.
         """
         self._stopped = False
-        self._running = True
+        heap = self._heap
+        step = self.step
+        horizon = float("inf") if until is None else until
         fired = 0
-        try:
-            while not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    break
-                event = self._peek_active()
-                if event is None:
-                    break
-                if until is not None and event.time > until:
-                    break
-                self.step()
-                fired += 1
-            if until is not None and self._now < until:
-                # No event remains inside the horizon: advance time to it so
-                # callers can sample clocks exactly at the horizon.
-                next_event = self._peek_active()
-                if next_event is None or next_event.time > until:
-                    self._now = until
-        finally:
-            self._running = False
+        while not self._stopped:
+            if max_events is not None and fired >= max_events:
+                break
+            while heap and heap[0][2].cancelled:
+                heappop(heap)
+            if not heap or heap[0][0] > horizon:
+                break
+            step()
+            fired += 1
+        if until is not None and self.now < until:
+            # No event remains inside the horizon: advance time to it so
+            # callers can sample clocks exactly at the horizon.
+            while heap and heap[0][2].cancelled:
+                heappop(heap)
+            if not heap or heap[0][0] > until:
+                self.now = until
 
     def stop(self) -> None:
         """Request that a running :meth:`run` loop exit after the current event."""
         self._stopped = True
-
-    def _peek_active(self) -> Optional[Event]:
-        """Return the next active event without firing it, dropping cancelled ones."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
 
     # ------------------------------------------------------------- utilities
 
@@ -230,9 +230,9 @@ class SimulationEngine:
         Convenience wrapper over :meth:`run` used heavily by experiments that
         sample metrics on a fixed real-time grid.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot advance to t={time} before current time t={self._now}"
+                f"cannot advance to t={time} before current time t={self.now}"
             )
         self.run(until=time)
 
@@ -251,7 +251,7 @@ class SimulationEngine:
         t = start
         while t <= stop + 1e-12:
             self.advance_to(t)
-            yield self._now
+            yield self.now
             t += step
 
 

@@ -7,44 +7,49 @@ Section 2.1).  Every scheduled action is an :class:`Event` carrying the real
 time at which it fires, a strictly increasing sequence number used to break
 ties deterministically, and a zero-argument callback.
 
-Events may be cancelled; cancellation is lazy (the event stays in the heap
-and is skipped when popped), which keeps both operations O(log n).
+An :class:`Event` is only the handle a caller keeps (to cancel it, or to
+read its time).  Ordering lives in the heap entry, not in the event: the
+engine's heap holds ``(time, seq, event)`` tuples, so ``heapq`` compares
+them in C and never reaches the event (``seq`` is unique).  Cancellation
+is lazy: :meth:`Event.cancel` only sets a flag, the entry stays in the heap
+and is dropped when it reaches the head, which keeps both operations
+O(log n).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
 #: Type of event callbacks.  Callbacks take no arguments; any state they
-#: need is bound at scheduling time (usually via a closure or functools.partial).
+#: need is bound at scheduling time (usually via functools.partial).
 EventCallback = Callable[[], Any]
 
 
-@dataclass(order=True)
 class Event:
     """A single scheduled occurrence in simulated real time.
 
-    Events order by ``(time, seq)``.  The sequence number guarantees a total,
-    deterministic order even when many events share a fire time, which in
-    turn makes every simulation run exactly reproducible for a fixed seed.
-
     Attributes:
         time: Real time (seconds) at which the event fires.
-        seq: Tie-breaking sequence number assigned by the engine.
+        seq: Tie-breaking sequence number assigned by the engine; the heap
+            entry ``(time, seq, event)`` fires in ``(time, seq)`` order,
+            which makes every run exactly reproducible for a fixed seed.
         callback: Zero-argument callable invoked when the event fires.
         label: Optional human-readable tag used by traces and debugging.
         cancelled: Lazily-set cancellation flag; cancelled events are
             silently discarded when they reach the head of the queue.
     """
 
-    time: float
-    seq: int
-    callback: EventCallback = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "seq", "callback", "label", "cancelled")
+
+    def __init__(
+        self, time: float, seq: int, callback: EventCallback, label: str = ""
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark this event so the engine skips it when popped."""
@@ -59,26 +64,3 @@ class Event:
         state = "cancelled" if self.cancelled else "active"
         tag = f" {self.label!r}" if self.label else ""
         return f"<Event t={self.time:.6f} seq={self.seq}{tag} {state}>"
-
-
-class EventSequencer:
-    """Produces the strictly increasing sequence numbers used for tie-breaks.
-
-    A dedicated object (rather than a bare ``itertools.count`` inside the
-    engine) so that checkpoint/restore and engine forking can share or reset
-    the counter explicitly.
-    """
-
-    def __init__(self, start: int = 0) -> None:
-        self._counter = itertools.count(start)
-        self._last = start - 1
-
-    def next(self) -> int:
-        """Return the next sequence number."""
-        self._last = next(self._counter)
-        return self._last
-
-    @property
-    def last(self) -> int:
-        """The most recently issued sequence number."""
-        return self._last

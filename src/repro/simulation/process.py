@@ -136,9 +136,8 @@ class SimProcess:
         departed time server — the paper's "servers can frequently join or
         leave the service").
         """
-        if not self.running:
-            return
-        self.on_message(message, sender)
+        if self._started and not self._stopped:
+            self.on_message(message, sender)
 
     def on_message(self, message: Any, sender: "SimProcess") -> None:
         """Hook: handle a delivered message.  Default drops it."""

@@ -367,8 +367,7 @@ class TestTraceDigest:
 
 def test_corruption_produces_rejectable_garbage():
     # With rng=None the corruption tap garbles every TimeReply with NaN;
-    # hardened servers must reject every one before the policy sees it
-    # (a plain server would crash computing a NaN interval).
+    # hardened servers must reject every one before the policy sees it.
     from repro.faults import MessageCorruption
     from repro.faults.injector import FaultInjector
     from repro.service.hardening import HardeningConfig
@@ -400,6 +399,58 @@ def test_corruption_produces_rejectable_garbage():
         server.stats.invalid_replies > 0
         for server in service.servers.values()
     )
+
+
+@pytest.mark.parametrize(
+    "clock_value, error, reason",
+    [
+        (math.nan, 0.1, "non-finite clock value"),
+        (math.inf, 0.1, "non-finite clock value"),
+        (10.0, math.nan, "non-finite error"),
+        (10.0, -math.inf, "non-finite error"),
+        (10.0, -0.1, "negative error"),
+    ],
+)
+def test_plain_server_refuses_garbage_replies(clock_value, error, reason):
+    service = make_mesh_service(2, tau=10.0)
+    server = service.servers["S1"]
+    reply = TimeReply(
+        request_id=1, server="S2", destination="S1",
+        clock_value=clock_value, error=error,
+    )
+    assert server._validate_reply(reply) == reason
+
+
+def test_plain_mesh_survives_a_random_chaos_schedule():
+    # A stage-less MM mesh under a random soak schedule whose
+    # MessageCorruption window garbles replies with NaN: every server
+    # refuses the garbage, reaches the horizon, and keeps finite intervals.
+    from repro.core.mm import MMPolicy
+    from repro.network.delay import UniformDelay
+    from repro.network.topology import full_mesh
+    from repro.service.builder import ServerSpec, build_service
+
+    graph = full_mesh(5)
+    names = sorted(graph.nodes)
+    service = build_service(
+        graph,
+        [ServerSpec(name=name, delta=1e-5) for name in names],
+        policy=MMPolicy(),
+        tau=10.0,
+        seed=11,
+        lan_delay=UniformDelay(0.01),
+    )
+    schedule = FaultSchedule.random(
+        seed=7, names=names, edges=sorted(graph.edges), horizon=3600.0
+    )
+    injector = attach_chaos(service, schedule)[0]
+    service.run_until(3600.0)
+    assert service.engine.now == 3600.0
+    assert injector.stats.messages_corrupted > 0
+    assert sum(s.stats.invalid_replies for s in service.servers.values()) > 0
+    for server in service.servers.values():
+        value, error = server.report()
+        assert math.isfinite(value) and math.isfinite(error) and error >= 0.0
 
 
 def test_duplication_doubles_delivery():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.simulation.engine import SchedulingError, SimulationEngine
-from repro.simulation.events import Event, EventSequencer
 
 
 class TestEventOrdering:
@@ -164,15 +163,3 @@ class TestPeriodicTask:
         engine.run(until=5.0)
         assert task.firings == 5
 
-
-class TestEventSequencer:
-    def test_strictly_increasing(self):
-        seq = EventSequencer()
-        values = [seq.next() for _ in range(5)]
-        assert values == [0, 1, 2, 3, 4]
-        assert seq.last == 4
-
-    def test_event_ordering_dataclass(self):
-        early = Event(1.0, 0, lambda: None)
-        late = Event(1.0, 1, lambda: None)
-        assert early < late
