@@ -163,3 +163,22 @@ class TestPeriodicTask:
         engine.run(until=5.0)
         assert task.firings == 5
 
+
+
+class TestEventSequencer:
+    """Tie-breaking sequence numbers: one counter per engine, carried by the
+    ``(time, seq, event)`` heap entry rather than by the event itself."""
+
+    def test_strictly_increasing(self, engine):
+        first = [engine.schedule_at(1.0, lambda: None) for _ in range(3)]
+        engine.run()
+        later = [engine.schedule_after(0.5, lambda: None) for _ in range(2)]
+        assert [event.seq for event in first + later] == [0, 1, 2, 3, 4]
+
+    def test_event_ordering_dataclass(self, engine):
+        early = engine.schedule_at(1.0, lambda: None)
+        late = engine.schedule_at(1.0, lambda: None)
+        assert (early.time, early.seq, early) < (late.time, late.seq, late)
+        # The event is only a handle: ordering it directly is an error.
+        with pytest.raises(TypeError):
+            early < late
